@@ -60,7 +60,6 @@ from .kjdt import (
 from .measures import (
     ExactDistribution,
     exact_plancherel_hecke,
-    sample_plancherel_hecke,
     expected_lis_exact,
     prob_lis_exact,
     plancherel_rsk_prob,
@@ -74,6 +73,7 @@ from .asymptotics import (
     SweepResult,
     sweep,
     sweep_at,
+    trial_shapes,
     rescale,
     plancherel_curve,
     line_curve,

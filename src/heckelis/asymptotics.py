@@ -11,6 +11,7 @@ execution order or worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -68,7 +69,6 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: SweepConfig | None
     q: int
     trials: int
     mean_lis: float
@@ -83,14 +83,27 @@ class SweepResult:
 _BLOCK = 64  # trials per scheduling unit
 
 
+def _check_sizes(n: int, q: int, trials: int) -> None:
+    for name, value, low in (("n", n, 0), ("q", q, 1), ("trials", trials, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def trial_shapes(n: int, q: int, seed: int, stop: int, start: int = 0):
+    """Insertion shapes of the uniform words of trials ``start .. stop-1``,
+    one at a time; trial ``t`` draws its word from ``trial_stream(seed, t)``.
+    The sizes are checked here, before the first shape is drawn."""
+    _check_sizes(n, q, stop - start)
+    return (heckeshape(random_word(n, q, trial_stream(seed, t))) for t in range(start, stop))
+
+
 def _sweep_block(args) -> dict:
     n, q, seed, start, stop, snapshot_limit = args
     stair = staircase(q).parts
     sums = {"lis": 0, "lis2": 0, "lds": 0, "lds2": 0, "stair": 0}
     profile: list[int] = []
     snapshots = []
-    for t in range(start, stop):
-        shape = heckeshape(random_word(n, q, trial_stream(seed, t)))
+    for t, shape in enumerate(trial_shapes(n, q, seed, stop, start), start):
         parts = shape.parts
         first = parts[0] if parts else 0
         rows = len(parts)
@@ -116,20 +129,20 @@ def sweep_at(
     seed: int,
     snapshot_limit: int = 0,
     threads: int = 1,
-    config: SweepConfig | None = None,
 ) -> SweepResult:
     """Sample ``trials`` insertion shapes at an explicit alphabet size.
 
     ``threads`` only controls scheduling; the result is bit-identical for
     any value because every trial stream is derived from ``(seed, trial)``
-    and the merged quantities are integer sums.
+    and the merged quantities are integer sums.  The pool never gets more
+    workers than there are blocks or CPUs.
     """
-    if q < 1 or trials < 1:
-        raise ValueError(f"need q >= 1 and trials >= 1, got q={q}, trials={trials}")
+    _check_sizes(n, q, trials)
     blocks = [(n, q, seed, s, min(s + _BLOCK, trials), snapshot_limit)
               for s in range(0, trials, _BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_block, blocks))
     else:
         results = [_sweep_block(b) for b in blocks]
@@ -158,7 +171,6 @@ def sweep_at(
     mean_lis, sigma_lis = stats(sums["lis"], sums["lis2"])
     mean_lds, sigma_lds = stats(sums["lds"], sums["lds2"])
     return SweepResult(
-        config=config,
         q=q,
         trials=trials,
         mean_lis=mean_lis,
@@ -180,7 +192,6 @@ def sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         config.seed,
         snapshot_limit=config.snapshot_limit,
         threads=threads,
-        config=config,
     )
 
 
@@ -224,22 +235,23 @@ class ShapeFunction:
         return np.interp(xs, self.breakpoints(), knots_y, right=0.0)
 
 
-def rescale(shape: YoungDiagram, n: int, q: int, regime: str) -> ShapeFunction:
-    """Rescale both axes by ``2 sqrt(n)`` (sqrt regime) or ``q`` (staircase
-    regime)."""
+def profile_function(mean_profile, n: int, q: int, regime: str) -> ShapeFunction:
+    """ShapeFunction for a column profile (entries may be fractional), both
+    axes rescaled by ``2 sqrt(n)`` (sqrt regime) or ``q`` (staircase regime)."""
     if regime == SQRT_REGIME:
         scale = 2.0 * math.sqrt(n)
     elif regime == STAIRCASE_REGIME:
         scale = float(q)
     else:
         raise ValueError(f"regime must be {SQRT_REGIME!r} or {STAIRCASE_REGIME!r}")
-    return ShapeFunction(tuple(float(c) for c in conjugate(shape).parts), scale)
-
-
-def profile_function(mean_profile, n: int, q: int, regime: str) -> ShapeFunction:
-    """ShapeFunction for a mean column profile (entries may be fractional)."""
-    scale = 2.0 * math.sqrt(n) if regime == SQRT_REGIME else float(q)
+    if scale <= 0:
+        raise ValueError(f"the {regime} regime scale is {scale:g} at n={n}, q={q}, must be > 0")
     return ShapeFunction(tuple(float(v) for v in mean_profile), scale)
+
+
+def rescale(shape: YoungDiagram, n: int, q: int, regime: str) -> ShapeFunction:
+    """ShapeFunction of one diagram's column profile."""
+    return profile_function(conjugate(shape).parts, n, q, regime)
 
 
 def _curve_x(theta: float) -> float:

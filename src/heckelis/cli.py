@@ -40,15 +40,14 @@ from .asymptotics import (
     sup_norm_distance,
     sweep,
     sweep_at,
+    trial_shapes,
 )
 from .measures import (
     ExactModeGuardError,
     exact_plancherel_hecke,
     expected_lis_exact,
-    sample_plancherel_hecke,
 )
 from .patience import deck_simulation
-from .rng import trial_stream
 from .verification import FAST, FULL, run_suites
 
 SEED_ENV = "HECKELIS_SEED"
@@ -65,6 +64,13 @@ def _default_seed() -> int:
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def write_manifest(path: str, subcommand: str, params: dict, seed) -> None:
@@ -120,15 +126,15 @@ def cmd_exact(args) -> int:
 
 def cmd_sample(args) -> int:
     params = {"n": args.n, "q": args.q, "trials": args.trials}
+    shapes = trial_shapes(args.n, args.q, args.seed, args.trials)
     with open(args.out, "w", newline="") as fh:
         fh.write(_param_header({**params, "seed": args.seed}) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["trial", "seed", "shape", "lis", "lds"])
-        for t in range(args.trials):
-            stream = trial_stream(args.seed, t)
-            rec = sample_plancherel_hecke(args.n, args.q, stream, trial=t)
+        for t, shape in enumerate(shapes):
+            parts = shape.parts
             writer.writerow(
-                [t, stream.entropy, " ".join(map(str, rec.shape.parts)), rec.lis, rec.lds]
+                [t, args.seed, " ".join(map(str, parts)), parts[0] if parts else 0, len(parts)]
             )
     write_manifest(args.out, "sample", params, args.seed)
     print(f"wrote {args.out}")
@@ -158,6 +164,7 @@ def cmd_sweep(args) -> int:
         "k_grid": args.k_grid or [],
         "snapshots": args.snapshots,
     }
+    results = [sweep(config, threads=args.threads) for config in configs]
     with open(args.out, "w", newline="") as fh:
         fh.write(_param_header({**params, "seed": args.seed}) + "\n")
         writer = csv.writer(fh)
@@ -165,8 +172,7 @@ def cmd_sweep(args) -> int:
             ["n", "q", "alpha_or_k", "trials", "mean_lis", "mean_lds",
              "sigma_lis", "sigma_lds", "staircase_fraction"]
         )
-        for config in configs:
-            res = sweep(config, threads=args.threads)
+        for config, res in zip(configs, results):
             writer.writerow(
                 [config.n, res.q, config.mode_label, config.trials,
                  _fmt(res.mean_lis), _fmt(res.mean_lds),
@@ -181,23 +187,24 @@ def cmd_sweep(args) -> int:
 def cmd_curve(args) -> int:
     # alphabet at or above sqrt(n) puts the shape in the sqrt scaling regime
     regime = SQRT_REGIME if args.q * args.q >= args.n else STAIRCASE_REGIME
+    profile_function((), args.n, args.q, regime)  # a zero scale fails before sampling
     res = sweep_at(args.n, args.q, args.trials, args.seed, threads=args.threads)
     fhat = profile_function(res.mean_profile, args.n, args.q, regime)
     params = {"n": args.n, "q": args.q, "trials": args.trials, "regime": regime}
     grid_hi = max(fhat.max_support, 1.0)
     points = args.grid_points
+    rows = []
+    for i in range(points + 1):
+        x = grid_hi * i / points
+        rows.append([_fmt(x), _fmt(float(fhat.linear(x)[0])),
+                     _fmt(plancherel_curve(x)), _fmt(line_curve(x))])
+    dist_curve = sup_norm_distance(fhat, plancherel_curve)
+    dist_line = sup_norm_distance(fhat, line_curve)
     with open(args.out, "w", newline="") as fh:
         fh.write(_param_header({**params, "seed": args.seed}) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["x", "f_hat", "plancherel_curve", "line"])
-        for i in range(points + 1):
-            x = grid_hi * i / points
-            writer.writerow(
-                [_fmt(x), _fmt(float(fhat.linear(x)[0])),
-                 _fmt(plancherel_curve(x)), _fmt(line_curve(x))]
-            )
-    dist_curve = sup_norm_distance(fhat, plancherel_curve)
-    dist_line = sup_norm_distance(fhat, line_curve)
+        writer.writerows(rows)
     params["sup_distance_plancherel"] = _fmt(dist_curve)
     params["sup_distance_line"] = _fmt(dist_line)
     write_manifest(args.out, "curve", params, args.seed)
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=float, nargs="*", default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--snapshots", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -271,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--grid-points", type=int, default=400)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--grid-points", type=_positive_int, default=400)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)
 

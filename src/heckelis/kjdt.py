@@ -41,12 +41,6 @@ class MixedTableau:
         if not _valid_cells(cells):
             raise ValueError("an alphabet repeats within a row or column")
 
-    def inner_region(self) -> Cells:
-        return {box: -v for box, v in self.cells.items() if v < 0}
-
-    def plain_region(self) -> Cells:
-        return {box: v for box, v in self.cells.items() if v > 0}
-
     def dump(self) -> str:
         """Row-per-line debug format; inner labels carry a ``_`` prefix."""
         if not self.cells:

@@ -6,6 +6,7 @@ by ``q^n``; construction asserts the normalizer identity exactly.  The RSK
 variant uses the hook-length and hook-content counts instead, is a Markov
 measure on Young's lattice, and admits a growth-process sampler alongside
 the RSK pushforward sampler; the two are cross-checked in the tests.
+Plancherel-Hecke samples come from ``asymptotics.trial_shapes``.
 
 Exact mode is arbitrary-precision rational arithmetic throughout.  Monte
 Carlo mode keeps counts in integers and only forms floats at the end.
@@ -18,12 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .insertion import heckeshape, rsk_shape
+from .insertion import rsk_shape
 from .rng import generator
 from .tableaux import (
     EMPTY_DIAGRAM,
     YoungDiagram,
-    conjugate,
     count_increasing,
     count_semistandard,
     count_set_valued_standard,
@@ -96,32 +96,6 @@ def exact_plancherel_hecke(
             f"normalizer identity failed: sum of weights {total} != {q}^{n}"
         )
     return ExactDistribution(n, q, tuple(entries))
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One sampled shape with its first row and column statistics."""
-
-    shape: YoungDiagram
-    lis: int
-    lds: int
-    n: int
-    q: int
-    trial: int
-
-
-def sample_plancherel_hecke(n: int, q: int, seed, trial: int = 0) -> SampleRecord:
-    """One insertion-shape sample from a uniform word keyed by ``seed``."""
-    shape = heckeshape(random_word(n, q, seed))
-    parts = shape.parts
-    return SampleRecord(
-        shape=shape,
-        lis=parts[0] if parts else 0,
-        lds=len(parts),
-        n=n,
-        q=q,
-        trial=trial,
-    )
 
 
 def expected_lis_exact(
@@ -272,7 +246,3 @@ def gamma_estimate(i: int, q: int, trials: int, seed: int) -> float:
         total += len(path[-1].parts)
     return total / trials
 
-
-def distribution_symmetric(dist: ExactDistribution) -> bool:
-    """Whether the distribution gives conjugate shapes equal probability."""
-    return all(p == dist.prob(conjugate(s)) for s, p in dist.entries)

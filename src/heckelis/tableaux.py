@@ -167,10 +167,6 @@ class IncreasingTableau:
     def shape(self) -> YoungDiagram:
         return YoungDiagram(tuple(len(r) for r in self.rows))
 
-    @property
-    def max_entry(self) -> int:
-        return max((x for row in self.rows for x in row), default=0)
-
 
 EMPTY_INCREASING = IncreasingTableau(())
 
@@ -386,10 +382,6 @@ def antidiagonal_cells(w) -> dict[tuple[int, int], int]:
 
 def diagram_to_json(shape: YoungDiagram) -> list[int]:
     return list(shape.parts)
-
-
-def diagram_from_json(parts) -> YoungDiagram:
-    return YoungDiagram(tuple(parts))
 
 
 def increasing_to_json(t: IncreasingTableau) -> list[list[int]]:

@@ -18,6 +18,7 @@ from heckelis.asymptotics import (
     staircase_check,
     sup_norm_distance,
     sweep,
+    sweep_at,
 )
 from heckelis.measures import expected_lis_exact
 from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, staircase
@@ -167,6 +168,35 @@ class TestSweep:
         from heckelis.words import random_word
 
         assert res.snapshots[2] == heckeshape(random_word(30, res.q, trial_stream(2, 2)))
+
+    @pytest.mark.parametrize(
+        "threads, cpus, workers",
+        [(8, 2, 2), (64, 16, 3), (2, 16, 2), (1, 16, None), (8, 1, None)],
+    )
+    def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, threads, cpus, workers):
+        # no real pool is started: the fake records max_workers and maps serially
+        import heckelis.asymptotics as asymptotics
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: cpus)
+        res = sweep_at(3, 2, 130, 1, threads=threads)  # three blocks of <= 64 trials
+        assert started == ([] if workers is None else [workers])
+        assert res == sweep_at(3, 2, 130, 1)
 
 
 class TestErdosSzekeres:

@@ -78,6 +78,22 @@ class TestSample:
         assert len(lines) == 2 + 8
         assert (tmp_path / "a.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("n", [0, 30])
+    def test_rows_follow_the_shape(self, n, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            ["sample", "--n", n, "--q", "4", "--trials", "6", "--seed", "9", "--out", out]
+        ) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 6
+        for t, row in enumerate(rows):
+            trial, seed, shape, lis, lds = row.split(",")
+            parts = [int(p) for p in shape.split()]
+            assert (int(trial), int(seed)) == (t, 9)
+            assert int(lis) == (parts[0] if parts else 0)
+            assert int(lds) == len(parts)
+            assert sum(parts) <= n and (parts == []) == (n == 0)
+
 
 class TestSweep:
     def test_unary_row_values(self, tmp_path, capsys):
@@ -109,6 +125,16 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--n", "10", "--trials", "2", "--out", out]) == 2
 
+    def test_empty_words(self, tmp_path, capsys):
+        # unlike curve, sweep needs no 2 sqrt(n) scale, which is 0 at n=0
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            ["sweep", "--n", "0", "--alpha-grid", "0", "--trials", "3",
+             "--threads", "1", "--out", out]
+        ) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text().splitlines()[2].startswith("0,1,alpha=0,3,0.000000,")
+
 
 class TestCurve:
     def test_writes_curve_and_distances(self, tmp_path, capsys):
@@ -124,6 +150,14 @@ class TestCurve:
         assert manifest["params"]["regime"] == "sqrt"
         assert "sup_distance_plancherel" in manifest["params"]
         assert "sup_distance_line" in manifest["params"]
+
+    def test_zero_scale_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        import heckelis.cli
+
+        monkeypatch.setattr(heckelis.cli, "sweep_at", lambda *a, **k: pytest.fail("sampled"))
+        out = tmp_path / "c.csv"
+        assert run_cli(["curve", "--n", "0", "--q", "4", "--trials", "1", "--out", out]) == 2
+        assert "scale is 0" in capsys.readouterr().err
 
     def test_staircase_regime_selected_for_small_alphabet(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -161,6 +195,36 @@ class TestUsageErrors:
         code = run_cli(["sample", "--n", "-3", "--q", "2", "--trials", "1", "--out", out])
         assert code == 2
         assert "n must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["curve", "--n", "0", "--q", "4", "--trials", "1", "--threads", "1"],
+            ["sample", "--n", "-3", "--q", "2", "--trials", "1"],
+            ["sample", "--n", "3", "--q", "2", "--trials", "0"],
+        ],
+    )
+    def test_bad_input_leaves_no_file(self, args, tmp_path, capsys):
+        assert run_cli(args + ["--out", tmp_path / "x.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["sweep", "--n", "10", "--alpha-grid", "1.0", "--trials", "2"], "--threads"),
+            (["curve", "--n", "10", "--q", "4", "--trials", "2"], "--threads"),
+            (["curve", "--n", "10", "--q", "4", "--trials", "2"], "--grid-points"),
+        ],
+    )
+    def test_below_one_rejected_at_parse(self, args, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + [option, "0", "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        assert f"{option}: must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeedEnvOverride:

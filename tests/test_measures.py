@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from heckelis.asymptotics import sweep_at, trial_shapes
 from heckelis.insertion import heckeshape, rsk_shape
 from heckelis.measures import (
     ExactModeGuardError,
@@ -14,7 +15,6 @@ from heckelis.measures import (
     plancherel_prob,
     plancherel_rsk_prob,
     prob_lis_exact,
-    sample_plancherel_hecke,
     sample_plancherel_rsk,
 )
 from heckelis.rng import trial_stream
@@ -133,37 +133,41 @@ class TestExpectations:
 
 
 class TestSampling:
+    # the Plancherel-Hecke sampler is asymptotics.trial_shapes, run by sweep_at
     def test_empty_word_gives_empty_shape(self):
-        rec = sample_plancherel_hecke(0, 3, 17)
-        assert rec.shape == EMPTY_DIAGRAM and rec.lis == 0 and rec.lds == 0
+        res = sweep_at(0, 3, 1, 17, snapshot_limit=1)
+        assert res.snapshots == (EMPTY_DIAGRAM,)
+        assert res.mean_lis == 0 and res.mean_lds == 0
 
     def test_record_fields_match_shape(self):
-        rec = sample_plancherel_hecke(30, 5, 23)
-        assert rec.lis == rec.shape.parts[0]
-        assert rec.lds == len(rec.shape.parts)
+        trials = 8
+        res = sweep_at(30, 5, trials, 23, snapshot_limit=trials)
+        assert len(res.snapshots) == trials
+        assert res.mean_lis == sum(s.parts[0] for s in res.snapshots) / trials
+        assert res.mean_lds == sum(len(s.parts) for s in res.snapshots) / trials
+        assert res.snapshots == tuple(trial_shapes(30, 5, 23, trials))
 
     @pytest.mark.slow
     def test_typical_shape_frequency(self):
         # binomial 3 sigma band around 40/81 for the modal shape at (4, 3)
         trials = 100_000
-        hits = sum(
-            sample_plancherel_hecke(4, 3, trial_stream(31, t)).shape == YoungDiagram((2, 1))
-            for t in range(trials)
-        )
+        res = sweep_at(4, 3, trials, 31, snapshot_limit=trials)
+        hits = sum(shape == YoungDiagram((2, 1)) for shape in res.snapshots)
         p = 40 / 81
         sigma = (trials * p * (1 - p)) ** 0.5
         assert abs(hits - trials * p) <= 3 * sigma
 
     @pytest.mark.slow
     def test_recorded_statistics_match_word_oracles(self):
-        for t in range(10_000):
-            n = 1 + t % 30
-            q = 1 + t % 8
-            stream = trial_stream(57, t)
-            w = random_word(n, q, stream)
-            rec = sample_plancherel_hecke(n, q, stream)
-            assert rec.lis == lis(w)
-            assert rec.lds == lds(w)
+        # 240 (n, q) pairs of 42 trials each, about 10^4 words in all
+        trials = 42
+        for n in range(1, 31):
+            for q in range(1, 9):
+                res = sweep_at(n, q, trials, 57, snapshot_limit=trials)
+                for t, shape in enumerate(res.snapshots):
+                    w = random_word(n, q, trial_stream(57, t))
+                    assert shape.parts[0] == lis(w)
+                    assert len(shape.parts) == lds(w)
 
 
 class TestRskMeasure:
