@@ -16,6 +16,7 @@ from .words import (
     Permutation,
     lis,
     lds,
+    patience_lis,
     lis_end_positions,
     reverse,
     random_word,
@@ -73,6 +74,7 @@ from .asymptotics import (
     SweepResult,
     sweep,
     sweep_at,
+    trial_words,
     trial_shapes,
     rescale,
     plancherel_curve,

@@ -27,6 +27,7 @@ from .words import (
     lds,
     lis,
     longest_element,
+    patience_lis,
     random_word,
 )
 
@@ -44,15 +45,21 @@ class SweepConfig:
     seed: int
     alpha: float | None = None
     k: float | None = None
-    snapshot_limit: int = 0
 
     def __post_init__(self):
         if (self.alpha is None) == (self.k is None):
             raise ValueError("exactly one of alpha and k must be given")
+        for name, value in (("alpha", self.alpha), ("k", self.k)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n < 0 or self.trials < 1:
             raise ValueError("need n >= 0 and trials >= 1")
-        if self.q < 1:
-            raise ValueError(f"q rounds to {self.q}, must be >= 1")
+        try:
+            q = self.q
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"q is out of range at n={self.n}, {self.mode_label}") from None
+        if q < 1:
+            raise ValueError(f"q rounds to {q}, must be >= 1")
 
     @property
     def q(self) -> int:
@@ -76,8 +83,7 @@ class SweepResult:
     mean_lds: float
     sigma_lds: float
     staircase_fraction: float
-    mean_profile: tuple[float, ...] = field(repr=False)
-    snapshots: tuple[YoungDiagram, ...] = field(repr=False)
+    mean_profile: tuple[float, ...] = field(repr=False)  # empty unless profiled
 
 
 _BLOCK = 64  # trials per scheduling unit
@@ -89,37 +95,60 @@ def _check_sizes(n: int, q: int, trials: int) -> None:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def trial_shapes(n: int, q: int, seed: int, stop: int, start: int = 0):
-    """Insertion shapes of the uniform words of trials ``start .. stop-1``,
-    one at a time; trial ``t`` draws its word from ``trial_stream(seed, t)``.
-    The sizes are checked here, before the first shape is drawn."""
+def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
+    """Uniform words of trials ``start .. stop-1``, one at a time; trial
+    ``t`` draws its word from ``trial_stream(seed, t)``.  The sizes are
+    checked here, before the first word is drawn."""
     _check_sizes(n, q, stop - start)
-    return (heckeshape(random_word(n, q, trial_stream(seed, t))) for t in range(start, stop))
+    return (random_word(n, q, trial_stream(seed, t)) for t in range(start, stop))
+
+
+def trial_shapes(n: int, q: int, seed: int, stop: int, start: int = 0):
+    """Insertion shapes of the words of ``trial_words``, one at a time."""
+    return (heckeshape(w) for w in trial_words(n, q, seed, stop, start))
+
+
+def shape_statistics(words, n: int, q: int):
+    """Shape kernel: ``(lis, lds, is staircase(q), column profile)`` of each
+    length-``n`` word over ``{1..q}``, read off its insertion shape."""
+    # a shape has at most n boxes, so staircase(q) is out of reach if q(q+1)/2 > n
+    stair = staircase(q).parts if q * (q + 1) // 2 <= n else None
+    for w in words:
+        shape = heckeshape(w)
+        parts = shape.parts
+        yield (parts[0] if parts else 0), len(parts), parts == stair, conjugate(shape).parts
+
+
+def word_statistics(words, n: int, q: int):
+    """Word kernel: the same statistics with no insertion and an empty
+    profile.  The first row of the shape is the LIS, its first column the
+    LDS, and it is staircase(q) exactly when the Demazure product is w0."""
+    w0 = longest_element(q) if q * (q + 1) // 2 <= n else None  # as in shape_statistics
+    for w in words:
+        yield (patience_lis(w.letters), patience_lis([q + 1 - x for x in w.letters]),
+               w0 is not None and hecke_product(w) == w0, ())
+
+
+def _add_columns(total: list[int], cols) -> None:
+    if len(total) < len(cols):
+        total.extend([0] * (len(cols) - len(total)))
+    for c, v in enumerate(cols):
+        total[c] += v
 
 
 def _sweep_block(args) -> dict:
-    n, q, seed, start, stop, snapshot_limit = args
-    stair = staircase(q).parts
+    n, q, seed, start, stop, profile = args
+    kernel = shape_statistics if profile else word_statistics
     sums = {"lis": 0, "lis2": 0, "lds": 0, "lds2": 0, "stair": 0}
-    profile: list[int] = []
-    snapshots = []
-    for t, shape in enumerate(trial_shapes(n, q, seed, stop, start), start):
-        parts = shape.parts
-        first = parts[0] if parts else 0
-        rows = len(parts)
+    col_sums: list[int] = []
+    for first, rows, stair, cols in kernel(trial_words(n, q, seed, stop, start), n, q):
         sums["lis"] += first
         sums["lis2"] += first * first
         sums["lds"] += rows
         sums["lds2"] += rows * rows
-        sums["stair"] += parts == stair
-        conj_parts = conjugate(shape).parts
-        if len(profile) < len(conj_parts):
-            profile.extend([0] * (len(conj_parts) - len(profile)))
-        for c, v in enumerate(conj_parts):
-            profile[c] += v
-        if t < snapshot_limit:
-            snapshots.append((t, shape))
-    return {"sums": sums, "profile": profile, "snapshots": snapshots}
+        sums["stair"] += stair
+        _add_columns(col_sums, cols)
+    return {"sums": sums, "profile": col_sums}
 
 
 def sweep_at(
@@ -127,18 +156,20 @@ def sweep_at(
     q: int,
     trials: int,
     seed: int,
-    snapshot_limit: int = 0,
     threads: int = 1,
+    profile: bool = False,
 ) -> SweepResult:
-    """Sample ``trials`` insertion shapes at an explicit alphabet size.
+    """Insertion-shape statistics of ``trials`` words at an explicit alphabet size.
 
-    ``threads`` only controls scheduling; the result is bit-identical for
-    any value because every trial stream is derived from ``(seed, trial)``
-    and the merged quantities are integer sums.  The pool never gets more
-    workers than there are blocks or CPUs.
+    ``profile=True`` runs the shape kernel and also gives the mean column
+    profile; the default word kernel gives the same statistics without
+    insertion.  ``threads`` only controls scheduling; the result is
+    bit-identical for any value because every trial stream is derived from
+    ``(seed, trial)`` and the merged quantities are integer sums.  The pool
+    never gets more workers than there are blocks or CPUs.
     """
     _check_sizes(n, q, trials)
-    blocks = [(n, q, seed, s, min(s + _BLOCK, trials), snapshot_limit)
+    blocks = [(n, q, seed, s, min(s + _BLOCK, trials), profile)
               for s in range(0, trials, _BLOCK)]
     workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers > 1:
@@ -148,18 +179,11 @@ def sweep_at(
         results = [_sweep_block(b) for b in blocks]
 
     sums = {"lis": 0, "lis2": 0, "lds": 0, "lds2": 0, "stair": 0}
-    profile: list[int] = []
-    tagged = []
+    col_sums: list[int] = []
     for res in results:
         for key in sums:
             sums[key] += res["sums"][key]
-        block_profile = res["profile"]
-        if len(profile) < len(block_profile):
-            profile.extend([0] * (len(block_profile) - len(profile)))
-        for c, v in enumerate(block_profile):
-            profile[c] += v
-        tagged.extend(res["snapshots"])
-    tagged.sort(key=lambda pair: pair[0])
+        _add_columns(col_sums, res["profile"])
 
     def stats(total: int, total_sq: int) -> tuple[float, float]:
         mean = total / trials
@@ -178,21 +202,13 @@ def sweep_at(
         mean_lds=mean_lds,
         sigma_lds=sigma_lds,
         staircase_fraction=sums["stair"] / trials,
-        mean_profile=tuple(v / trials for v in profile),
-        snapshots=tuple(shape for _, shape in tagged),
+        mean_profile=tuple(v / trials for v in col_sums),
     )
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Run the configured trials and aggregate LIS/LDS statistics."""
-    return sweep_at(
-        config.n,
-        config.q,
-        config.trials,
-        config.seed,
-        snapshot_limit=config.snapshot_limit,
-        threads=threads,
-    )
+    return sweep_at(config.n, config.q, config.trials, config.seed, threads=threads)
 
 
 # --- rescaled shape functions and reference curves -------------------------

@@ -144,11 +144,9 @@ def cmd_sample(args) -> int:
 def _sweep_configs(args):
     configs = []
     for alpha in args.alpha_grid or []:
-        configs.append(SweepConfig(n=args.n, trials=args.trials, seed=args.seed,
-                                   alpha=alpha, snapshot_limit=args.snapshots))
+        configs.append(SweepConfig(n=args.n, trials=args.trials, seed=args.seed, alpha=alpha))
     for k in args.k_grid or []:
-        configs.append(SweepConfig(n=args.n, trials=args.trials, seed=args.seed,
-                                   k=k, snapshot_limit=args.snapshots))
+        configs.append(SweepConfig(n=args.n, trials=args.trials, seed=args.seed, k=k))
     return configs
 
 
@@ -188,7 +186,7 @@ def cmd_curve(args) -> int:
     # alphabet at or above sqrt(n) puts the shape in the sqrt scaling regime
     regime = SQRT_REGIME if args.q * args.q >= args.n else STAIRCASE_REGIME
     profile_function((), args.n, args.q, regime)  # a zero scale fails before sampling
-    res = sweep_at(args.n, args.q, args.trials, args.seed, threads=args.threads)
+    res = sweep_at(args.n, args.q, args.trials, args.seed, threads=args.threads, profile=True)
     fhat = profile_function(res.mean_profile, args.n, args.q, regime)
     params = {"n": args.n, "q": args.q, "trials": args.trials, "regime": regime}
     grid_hi = max(fhat.max_support, 1.0)
@@ -269,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    # recorded in the header and the manifest only; sweep writes no shapes
     p.add_argument("--snapshots", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -7,6 +7,7 @@ congruent exactly when they share that permutation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .rng import generator
@@ -79,6 +80,21 @@ def lds(w: Word) -> int:
     return lis(flipped)
 
 
+def patience_lis(letters) -> int:
+    """Pile count of ties-allowed greedy patience on ``letters``: each card
+    covers the leftmost pile top >= it, so the count is the length of the
+    longest strictly increasing subsequence.  Only the pile tops are kept.
+    ``lis`` is the quadratic oracle it is checked against."""
+    tops: list[int] = []
+    for x in letters:
+        i = bisect_left(tops, x)
+        if i == len(tops):
+            tops.append(x)
+        else:
+            tops[i] = x
+    return len(tops)
+
+
 def lis_end_positions(w: Word) -> dict[int, int]:
     """Map ``t -> r(w, t)`` for ``1 <= t <= lis(w)``.
 
@@ -117,7 +133,7 @@ def random_word(n: int, q: int, seed) -> Word:
         return Word((), q)
     rng = generator(seed)
     letters = rng.integers(1, q + 1, size=n)
-    return Word(tuple(int(x) for x in letters), q)
+    return Word(tuple(letters.tolist()), q)
 
 
 def hecke_product(w: Word) -> Permutation:

@@ -2,7 +2,9 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
 
+import heckelis.asymptotics as asymptotics
 from heckelis.asymptotics import (
     SQRT_REGIME,
     STAIRCASE_REGIME,
@@ -15,14 +17,21 @@ from heckelis.asymptotics import (
     plancherel_curve,
     rescale,
     round_half_up,
+    shape_statistics,
     staircase_check,
     sup_norm_distance,
     sweep,
     sweep_at,
+    trial_shapes,
+    word_statistics,
 )
+from heckelis.insertion import heckeshape
 from heckelis.measures import expected_lis_exact
+from heckelis.rng import trial_stream
 from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, staircase
-from heckelis.words import Word, coxeter_length, hecke_product, lds, lis
+from heckelis.words import Word, coxeter_length, hecke_product, lds, lis, random_word
+
+from conftest import words
 
 
 class TestSweepConfig:
@@ -46,6 +55,19 @@ class TestSweepConfig:
     def test_q_must_round_positive(self):
         with pytest.raises(ValueError):
             SweepConfig(n=100, trials=1, seed=0, k=0.01)
+
+    @pytest.mark.parametrize("mode", ["alpha", "k"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, mode, value):
+        with pytest.raises(ValueError, match=f"{mode} must be finite"):
+            SweepConfig(n=100, trials=1, seed=0, **{mode: value})
+
+    @pytest.mark.parametrize(
+        "n, mode, value", [(100, "alpha", 200.0), (100, "k", 1e308), (0, "alpha", -1.0)]
+    )
+    def test_q_out_of_range_rejected(self, n, mode, value):
+        with pytest.raises(ValueError, match="q is out of range"):
+            SweepConfig(n=n, trials=1, seed=0, **{mode: value})
 
 
 class TestRescale:
@@ -154,20 +176,19 @@ class TestSweep:
         assert abs(res.mean_lis - exact) <= 3 * max(sigma, 1e-9)
 
     def test_deterministic_and_thread_independent(self):
-        config = SweepConfig(n=60, trials=130, seed=12, k=1.0, snapshot_limit=3)
+        config = SweepConfig(n=60, trials=130, seed=12, k=1.0)
         serial = sweep(config, threads=1)
         parallel = sweep(config, threads=2)
         assert serial == parallel
+        profiled = sweep_at(60, config.q, 130, 12, threads=2, profile=True)
+        assert profiled == sweep_at(60, config.q, 130, 12, threads=1, profile=True)
+        assert profiled.mean_profile and not serial.mean_profile
 
-    def test_snapshots_limited_and_ordered(self):
-        config = SweepConfig(n=30, trials=10, seed=2, k=1.0, snapshot_limit=4)
-        res = sweep(config)
-        assert len(res.snapshots) == 4
-        from heckelis.insertion import heckeshape
-        from heckelis.rng import trial_stream
-        from heckelis.words import random_word
-
-        assert res.snapshots[2] == heckeshape(random_word(30, res.q, trial_stream(2, 2)))
+    def test_trial_shapes_limited_and_ordered(self):
+        shapes = list(trial_shapes(30, 5, 2, 4))
+        assert len(shapes) == 4
+        assert shapes[2] == heckeshape(random_word(30, 5, trial_stream(2, 2)))
+        assert list(trial_shapes(30, 5, 2, 4, start=2)) == shapes[2:]
 
     @pytest.mark.parametrize(
         "threads, cpus, workers",
@@ -197,6 +218,51 @@ class TestSweep:
         res = sweep_at(3, 2, 130, 1, threads=threads)  # three blocks of <= 64 trials
         assert started == ([] if workers is None else [workers])
         assert res == sweep_at(3, 2, 130, 1)
+
+
+def _oracle_statistics(w: Word):
+    return lis(w), lds(w), heckeshape(w) == staircase(w.alphabet_size)
+
+
+class TestKernels:
+    # each kernel's lis, lds and staircase test against the oracles: the
+    # quadratic DP and the insertion shape
+    def test_exhaustive_small(self):
+        count = 0
+        for q in range(1, 5):
+            for n in range(0, 8):
+                ws = [Word(letters, q) for letters in product(range(1, q + 1), repeat=n)]
+                expected = [_oracle_statistics(w) for w in ws]
+                assert [s[:3] for s in word_statistics(ws, n, q)] == expected
+                assert [s[:3] for s in shape_statistics(ws, n, q)] == expected
+                count += len(ws)
+        assert count == 25_388
+
+    @given(words(max_n=40, max_q=8))
+    def test_random_words(self, w):
+        n, q = len(w), w.alphabet_size
+        (by_word,) = word_statistics([w], n, q)
+        (by_shape,) = shape_statistics([w], n, q)
+        assert by_word == _oracle_statistics(w) + ((),)
+        assert by_shape[:3] == _oracle_statistics(w)
+
+    def test_staircase_reached(self):
+        w = Word((1, 2, 1), 2)  # q(q+1)/2 = 3 = n, and the shape is (2, 1)
+        assert next(word_statistics([w], 3, 2)) == (2, 2, True, ())
+        assert next(shape_statistics([w], 3, 2)) == (2, 2, True, (2, 1))
+
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_unreachable_staircase_builds_nothing(self, monkeypatch, profile):
+        # q(q+1)/2 > n: no shape of n boxes is the staircase, so neither
+        # kernel builds the staircase, w0 or a Demazure product
+        def fail(*args):
+            raise AssertionError("built an O(q) staircase target")
+
+        for name in ("staircase", "longest_element", "hecke_product"):
+            monkeypatch.setattr(asymptotics, name, fail)
+        res = sweep_at(100, 10**6, 3, 5, profile=profile)
+        assert res.staircase_fraction == 0.0
+        assert res.mean_lis > 1
 
 
 class TestErdosSzekeres:

@@ -202,6 +202,11 @@ class TestUsageErrors:
             ["curve", "--n", "0", "--q", "4", "--trials", "1", "--threads", "1"],
             ["sample", "--n", "-3", "--q", "2", "--trials", "1"],
             ["sample", "--n", "3", "--q", "2", "--trials", "0"],
+            ["sweep", "--n", "100", "--alpha-grid", "inf", "--trials", "1"],
+            ["sweep", "--n", "100", "--k-grid", "inf", "--trials", "1"],
+            ["sweep", "--n", "100", "--alpha-grid", "nan", "--trials", "1"],
+            ["sweep", "--n", "100", "--k-grid", "nan", "--trials", "1"],
+            ["sweep", "--n", "100", "--alpha-grid", "200", "--trials", "1"],
         ],
     )
     def test_bad_input_leaves_no_file(self, args, tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -133,41 +134,55 @@ class TestExpectations:
 
 
 class TestSampling:
-    # the Plancherel-Hecke sampler is asymptotics.trial_shapes, run by sweep_at
+    # the Plancherel-Hecke sampler is asymptotics.trial_shapes; sweep_at
+    # aggregates its statistics with the shape kernel (profile=True) or reads
+    # them off the words with the word kernel
     def test_empty_word_gives_empty_shape(self):
-        res = sweep_at(0, 3, 1, 17, snapshot_limit=1)
-        assert res.snapshots == (EMPTY_DIAGRAM,)
-        assert res.mean_lis == 0 and res.mean_lds == 0
+        assert tuple(trial_shapes(0, 3, 17, 1)) == (EMPTY_DIAGRAM,)
+        for profile in (False, True):
+            res = sweep_at(0, 3, 1, 17, profile=profile)
+            assert res.mean_lis == 0 and res.mean_lds == 0
 
     def test_record_fields_match_shape(self):
         trials = 8
-        res = sweep_at(30, 5, trials, 23, snapshot_limit=trials)
-        assert len(res.snapshots) == trials
-        assert res.mean_lis == sum(s.parts[0] for s in res.snapshots) / trials
-        assert res.mean_lds == sum(len(s.parts) for s in res.snapshots) / trials
-        assert res.snapshots == tuple(trial_shapes(30, 5, 23, trials))
+        shapes = tuple(trial_shapes(30, 5, 23, trials))
+        assert len(shapes) == trials
+        for profile in (False, True):
+            res = sweep_at(30, 5, trials, 23, profile=profile)
+            assert res.mean_lis == sum(s.parts[0] for s in shapes) / trials
+            assert res.mean_lds == sum(len(s.parts) for s in shapes) / trials
 
     @pytest.mark.slow
     def test_typical_shape_frequency(self):
         # binomial 3 sigma band around 40/81 for the modal shape at (4, 3)
         trials = 100_000
-        res = sweep_at(4, 3, trials, 31, snapshot_limit=trials)
-        hits = sum(shape == YoungDiagram((2, 1)) for shape in res.snapshots)
+        hits = sum(shape == YoungDiagram((2, 1)) for shape in trial_shapes(4, 3, 31, trials))
         p = 40 / 81
         sigma = (trials * p * (1 - p)) ** 0.5
         assert abs(hits - trials * p) <= 3 * sigma
 
     @pytest.mark.slow
-    def test_recorded_statistics_match_word_oracles(self):
-        # 240 (n, q) pairs of 42 trials each, about 10^4 words in all
+    def test_recorded_statistics_match_word_oracles(self, monkeypatch):
+        # 240 (n, q) pairs of 42 trials each, about 10^4 words in all; blocks
+        # of 16 trials make threads=2 start a real pool of two workers
+        import heckelis.asymptotics as asymptotics
+
+        monkeypatch.setattr(asymptotics, "_BLOCK", 16)
         trials = 42
         for n in range(1, 31):
             for q in range(1, 9):
-                res = sweep_at(n, q, trials, 57, snapshot_limit=trials)
-                for t, shape in enumerate(res.snapshots):
+                lis_sum = lds_sum = 0
+                for t, shape in enumerate(trial_shapes(n, q, 57, trials)):
                     w = random_word(n, q, trial_stream(57, t))
-                    assert shape.parts[0] == lis(w)
-                    assert len(shape.parts) == lds(w)
+                    assert (shape.parts[0], len(shape.parts)) == (lis(w), lds(w))
+                    lis_sum += shape.parts[0]
+                    lds_sum += len(shape.parts)
+                by_word = sweep_at(n, q, trials, 57)
+                assert (by_word.mean_lis, by_word.mean_lds) == (lis_sum / trials, lds_sum / trials)
+                assert sweep_at(n, q, trials, 57, threads=2) == by_word
+                for threads in (1, 2):
+                    by_shape = sweep_at(n, q, trials, 57, threads=threads, profile=True)
+                    assert replace(by_shape, mean_profile=()) == by_word
 
 
 class TestRskMeasure:

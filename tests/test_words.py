@@ -15,6 +15,7 @@ from heckelis.words import (
     lis,
     lis_end_positions,
     longest_element,
+    patience_lis,
     random_word,
     reverse,
 )
@@ -68,6 +69,22 @@ class TestLisLds:
     def test_reversal_swaps_lis_lds(self, w):
         assert lis(w) == lds(reverse(w))
         assert lds(w) == lis(reverse(w))
+
+
+class TestPatienceLis:
+    # the pile-count fast path against the quadratic lis/lds oracles; the
+    # exhaustive small range is in test_asymptotics.TestKernels
+    def test_equal_letters_share_a_pile(self):
+        assert patience_lis(()) == 0
+        assert patience_lis((3, 3, 3)) == 1
+        assert patience_lis((1, 2, 2, 3, 1)) == 3
+        assert patience_lis(EXAMPLE_WORD.letters) == lis(EXAMPLE_WORD)
+
+    @given(words(max_n=40, max_q=8))
+    def test_against_oracles(self, w):
+        q = w.alphabet_size
+        assert patience_lis(w.letters) == lis(w)
+        assert patience_lis([q + 1 - x for x in w.letters]) == lds(w)
 
 
 class TestLisEndPositions:
