@@ -87,12 +87,15 @@ class SweepResult:
 
 
 _BLOCK = 64  # trials per scheduling unit
+_MAX_Q = 2**63 - 1  # random_word draws its letters as numpy int64
 
 
 def _check_sizes(n: int, q: int, trials: int) -> None:
     for name, value, low in (("n", n, 0), ("q", q, 1), ("trials", trials, 1)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+    if q > _MAX_Q:
+        raise ValueError(f"q must be <= 2**63 - 1, got {q}")
 
 
 def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):

@@ -86,8 +86,23 @@ def write_manifest(path: str, subcommand: str, params: dict, seed) -> None:
         fh.write("\n")
 
 
-def _param_header(params: dict) -> str:
-    return "# " + " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+def _write_csv(path: str, params: dict, seed, header, rows) -> None:
+    """Write the ``# key=value`` parameter line (seed included), the column
+    names and ``rows`` to a temporary file beside ``path``, and rename it to
+    ``path`` only after the last row, so a failure leaves no data file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            items = sorted({**params, "seed": seed}.items())
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in items) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def cmd_verify(args) -> int:
@@ -127,15 +142,11 @@ def cmd_exact(args) -> int:
 def cmd_sample(args) -> int:
     params = {"n": args.n, "q": args.q, "trials": args.trials}
     shapes = trial_shapes(args.n, args.q, args.seed, args.trials)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(_param_header({**params, "seed": args.seed}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "shape", "lis", "lds"])
-        for t, shape in enumerate(shapes):
-            parts = shape.parts
-            writer.writerow(
-                [t, args.seed, " ".join(map(str, parts)), parts[0] if parts else 0, len(parts)]
-            )
+    rows = (
+        [t, args.seed, " ".join(map(str, s.parts)), s.parts[0] if s.parts else 0, len(s.parts)]
+        for t, s in enumerate(shapes)
+    )
+    _write_csv(args.out, params, args.seed, ["trial", "seed", "shape", "lis", "lds"], rows)
     write_manifest(args.out, "sample", params, args.seed)
     print(f"wrote {args.out}")
     return 0
@@ -162,21 +173,16 @@ def cmd_sweep(args) -> int:
         "k_grid": args.k_grid or [],
         "snapshots": args.snapshots,
     }
-    results = [sweep(config, threads=args.threads) for config in configs]
-    with open(args.out, "w", newline="") as fh:
-        fh.write(_param_header({**params, "seed": args.seed}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "q", "alpha_or_k", "trials", "mean_lis", "mean_lds",
-             "sigma_lis", "sigma_lds", "staircase_fraction"]
-        )
-        for config, res in zip(configs, results):
-            writer.writerow(
-                [config.n, res.q, config.mode_label, config.trials,
-                 _fmt(res.mean_lis), _fmt(res.mean_lds),
-                 _fmt(res.sigma_lis), _fmt(res.sigma_lds),
-                 _fmt(res.staircase_fraction)]
-            )
+    rows = []
+    for config in configs:
+        res = sweep(config, threads=args.threads)
+        rows.append([config.n, res.q, config.mode_label, config.trials,
+                     _fmt(res.mean_lis), _fmt(res.mean_lds),
+                     _fmt(res.sigma_lis), _fmt(res.sigma_lds),
+                     _fmt(res.staircase_fraction)])
+    header = ["n", "q", "alpha_or_k", "trials", "mean_lis", "mean_lds",
+              "sigma_lis", "sigma_lds", "staircase_fraction"]
+    _write_csv(args.out, params, args.seed, header, rows)
     write_manifest(args.out, "sweep", params, args.seed)
     print(f"wrote {args.out}")
     return 0
@@ -198,11 +204,7 @@ def cmd_curve(args) -> int:
                      _fmt(plancherel_curve(x)), _fmt(line_curve(x))])
     dist_curve = sup_norm_distance(fhat, plancherel_curve)
     dist_line = sup_norm_distance(fhat, line_curve)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(_param_header({**params, "seed": args.seed}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "f_hat", "plancherel_curve", "line"])
-        writer.writerows(rows)
+    _write_csv(args.out, params, args.seed, ["x", "f_hat", "plancherel_curve", "line"], rows)
     params["sup_distance_plancherel"] = _fmt(dist_curve)
     params["sup_distance_line"] = _fmt(dist_line)
     write_manifest(args.out, "curve", params, args.seed)
@@ -217,18 +219,10 @@ def cmd_patience(args) -> int:
     params = {"ranks": args.ranks, "copies": args.copies, "trials": args.trials}
     hist_path = args.out + "_histogram.csv"
     sizes_path = args.out + "_pile_sizes.csv"
-    with open(hist_path, "w", newline="") as fh:
-        fh.write(_param_header({**params, "seed": args.seed}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["pile_count", "frequency"])
-        for count, freq in stats.histogram.items():
-            writer.writerow([count, freq])
-    with open(sizes_path, "w", newline="") as fh:
-        fh.write(_param_header({**params, "seed": args.seed}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["position", "mean_size"])
-        for pos, size in enumerate(stats.mean_pile_sizes, start=1):
-            writer.writerow([pos, _fmt(size)])
+    _write_csv(hist_path, params, args.seed, ["pile_count", "frequency"],
+               stats.histogram.items())
+    _write_csv(sizes_path, params, args.seed, ["position", "mean_size"],
+               ([pos, _fmt(size)] for pos, size in enumerate(stats.mean_pile_sizes, start=1)))
     write_manifest(args.out, "patience", params, args.seed)
     print(f"wrote {hist_path} and {sizes_path}")
     print(f"mean pile count: {stats.mean_piles:.4f}")

@@ -21,6 +21,7 @@ standard one respecting both per-row orders) computes the same result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .rng import generator
 from .tableaux import IncreasingTableau, antidiagonal_cells, staircase, superstandard
@@ -36,7 +37,7 @@ class MixedTableau:
     cells: dict
 
     def __post_init__(self):
-        cells = {(int(r), int(c)): int(v) for (r, c), v in self.cells.items()}
+        cells = {(index(r), index(c)): index(v) for (r, c), v in self.cells.items()}
         object.__setattr__(self, "cells", cells)
         if not _valid_cells(cells):
             raise ValueError("an alphabet repeats within a row or column")

@@ -33,8 +33,9 @@ from .tableaux import (
 )
 from .words import random_word
 
-DEFAULT_MAX_N = 10
-DEFAULT_MAX_Q = 5
+# exact enumeration is refused past these sizes
+MAX_N = 10
+MAX_Q = 5
 
 
 class ExactModeGuardError(ValueError):
@@ -65,29 +66,31 @@ class ExactDistribution:
         ]
 
 
-def _check_guard(n: int, q: int, max_n: int, max_q: int):
+def _check_guard(n: int, q: int):
     if n < 0 or q < 1:
         raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
-    if n > max_n or q > max_q:
+    if n > MAX_N or q > MAX_Q:
         raise ExactModeGuardError(
-            f"exact mode guard: n <= {max_n} and q <= {max_q} required, got n={n}, q={q}"
+            f"exact mode guard: n <= {MAX_N} and q <= {MAX_Q} required, got n={n}, q={q}"
         )
 
 
-def exact_plancherel_hecke(
-    n: int, q: int, max_n: int = DEFAULT_MAX_N, max_q: int = DEFAULT_MAX_Q
-) -> ExactDistribution:
-    """Exact shape distribution induced by insertion from uniform words.
+def plancherel_hecke_weights(n: int, q: int):
+    """``(shape, weight)`` for each shape inside the staircase with at most
+    ``min(n, q(q+1)/2)`` boxes.  The weight is the increasing-tableau count
+    times the standard set-valued count: the number of length-``n`` words
+    over ``{1..q}`` with that insertion shape, so the weights sum to ``q^n``."""
+    for shape in partitions_in_staircase(q, min(n, q * (q + 1) // 2)):
+        yield shape, count_increasing(shape, q) * count_set_valued_standard(shape, n)
 
-    Iterates the shapes inside the staircase with at most ``min(n, q(q+1)/2)``
-    boxes and asserts that the weights sum to ``q^n`` exactly.
-    """
-    _check_guard(n, q, max_n, max_q)
-    limit = min(n, q * (q + 1) // 2)
+
+def exact_plancherel_hecke(n: int, q: int) -> ExactDistribution:
+    """Exact shape distribution induced by insertion from uniform words;
+    asserts that the weights sum to ``q^n`` exactly."""
+    _check_guard(n, q)
     entries = []
     total = 0
-    for shape in partitions_in_staircase(q, limit):
-        weight = count_increasing(shape, q) * count_set_valued_standard(shape, n)
+    for shape, weight in plancherel_hecke_weights(n, q):
         total += weight
         if weight:
             entries.append((shape, Fraction(weight, q**n)))
@@ -98,22 +101,18 @@ def exact_plancherel_hecke(
     return ExactDistribution(n, q, tuple(entries))
 
 
-def expected_lis_exact(
-    n: int, q: int, max_n: int = DEFAULT_MAX_N, max_q: int = DEFAULT_MAX_Q
-) -> Fraction:
+def expected_lis_exact(n: int, q: int) -> Fraction:
     """Exact expectation of the first-row statistic (equivalently of LIS)."""
-    dist = exact_plancherel_hecke(n, q, max_n, max_q)
+    dist = exact_plancherel_hecke(n, q)
     return sum(
         (Fraction(s.parts[0]) * p for s, p in dist.entries if s.parts),
         start=Fraction(0),
     )
 
 
-def prob_lis_exact(
-    n: int, q: int, ell: int, max_n: int = DEFAULT_MAX_N, max_q: int = DEFAULT_MAX_Q
-) -> Fraction:
+def prob_lis_exact(n: int, q: int, ell: int) -> Fraction:
     """Exact probability that the first row has length ``ell``."""
-    dist = exact_plancherel_hecke(n, q, max_n, max_q)
+    dist = exact_plancherel_hecke(n, q)
     first_row = lambda s: s.parts[0] if s.parts else 0
     return sum((p for s, p in dist.entries if first_row(s) == ell), start=Fraction(0))
 

@@ -57,7 +57,6 @@ def play_greedy(w: Word, ties: str = TIES_ALLOWED) -> PileState:
         else:
             piles[idx].append(x)
             tops[idx] = x
-        assert idx == 0 or tops[idx - 1] <= tops[idx]
     return PileState(tuple(tuple(p) for p in piles), ties, w.alphabet_size)
 
 
@@ -97,7 +96,7 @@ def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) ->
     for t in range(trials):
         rng = trial_generator(seed, t)
         shuffled = deck[rng.permutation(deck.size)]
-        state = play_greedy(Word(tuple(int(x) for x in shuffled), ranks))
+        state = play_greedy(Word(tuple(shuffled.tolist()), ranks))
         k = pile_count(state)
         histogram[k] = histogram.get(k, 0) + 1
         pile_total += k

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
 
 def generator(seed) -> np.random.Generator:
     """Build a Philox generator from an int seed, SeedSequence or Generator."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import index, le, lt
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class YoungDiagram:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(map(index, self.parts)))
         for i, p in enumerate(self.parts):
             if p <= 0:
                 raise ValueError(f"parts must be positive, got {self.parts}")
@@ -142,6 +143,27 @@ def partitions_in_staircase(q: int, max_size: int):
     return sorted(found, key=lambda d: d.parts)
 
 
+def _check_filling(rows, row_ok, col_ok) -> None:
+    """Raise ``ValueError`` unless the row lengths form a Young diagram,
+    ``row_ok(left, x)`` holds for each entry ``x`` and its left neighbour,
+    and ``col_ok(above, x)`` for each entry and the entry above it."""
+    widths = [len(r) for r in rows]
+    if any(w == 0 for w in widths) or any(
+        widths[i] < widths[i + 1] for i in range(len(widths) - 1)
+    ):
+        raise ValueError(f"rows {widths} do not form a Young diagram")
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if c and not row_ok(row[c - 1], x):
+                raise ValueError(f"row {r + 1} breaks the row order at column {c + 1}")
+            if r and not col_ok(rows[r - 1][c], x):
+                raise ValueError(f"column {c + 1} breaks the column order at row {r + 1}")
+
+
+def _sets_increase(a: frozenset, b: frozenset) -> bool:
+    return max(a) < min(b)
+
+
 @dataclass(frozen=True)
 class IncreasingTableau:
     """Filling strictly increasing along rows and down columns."""
@@ -149,19 +171,9 @@ class IncreasingTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        widths = [len(r) for r in rows]
-        if any(w == 0 for w in widths) or any(
-            widths[i] < widths[i + 1] for i in range(len(widths) - 1)
-        ):
-            raise ValueError(f"rows {widths} do not form a Young diagram")
-        for r, row in enumerate(rows):
-            for c, x in enumerate(row):
-                if c and not row[c - 1] < x:
-                    raise ValueError(f"row {r + 1} not strictly increasing: {row}")
-                if r and not rows[r - 1][c] < x:
-                    raise ValueError(f"column {c + 1} not strictly increasing")
+        _check_filling(rows, lt, lt)
 
     @property
     def shape(self) -> YoungDiagram:
@@ -182,11 +194,6 @@ class SetValuedStandardTableau:
     def __post_init__(self):
         rows = tuple(tuple(frozenset(s) for s in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        widths = [len(r) for r in rows]
-        if any(w == 0 for w in widths) or any(
-            widths[i] < widths[i + 1] for i in range(len(widths) - 1)
-        ):
-            raise ValueError(f"rows {widths} do not form a Young diagram")
         seen: set[int] = set()
         total = 0
         for row in rows:
@@ -197,19 +204,11 @@ class SetValuedStandardTableau:
                 total += len(s)
         if total != self.n or seen != set(range(1, self.n + 1)):
             raise ValueError(f"box sets do not partition 1..{self.n}")
-        for r, row in enumerate(rows):
-            for c, s in enumerate(row):
-                if c and not max(row[c - 1]) < min(s):
-                    raise ValueError(f"row {r + 1} violates max < min at column {c + 1}")
-                if r and not max(rows[r - 1][c]) < min(s):
-                    raise ValueError(f"column {c + 1} violates max < min at row {r + 1}")
+        _check_filling(rows, _sets_increase, _sets_increase)
 
     @property
     def shape(self) -> YoungDiagram:
         return YoungDiagram(tuple(len(r) for r in self.rows))
-
-
-EMPTY_SET_VALUED = SetValuedStandardTableau((), 0)
 
 
 @dataclass(frozen=True)
@@ -220,21 +219,13 @@ class SemistandardTableau:
     alphabet_size: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        widths = [len(r) for r in rows]
-        if any(w == 0 for w in widths) or any(
-            widths[i] < widths[i + 1] for i in range(len(widths) - 1)
-        ):
-            raise ValueError(f"rows {widths} do not form a Young diagram")
-        for r, row in enumerate(rows):
-            for c, x in enumerate(row):
+        _check_filling(rows, le, lt)
+        for row in rows:
+            for x in row:
                 if not 1 <= x <= self.alphabet_size:
                     raise ValueError(f"entry {x} outside 1..{self.alphabet_size}")
-                if c and not row[c - 1] <= x:
-                    raise ValueError(f"row {r + 1} not weakly increasing: {row}")
-                if r and not rows[r - 1][c] < x:
-                    raise ValueError(f"column {c + 1} not strictly increasing")
 
     @property
     def shape(self) -> YoungDiagram:

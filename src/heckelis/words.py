@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import index
 
 from .rng import generator
 
@@ -21,7 +22,7 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        object.__setattr__(self, "letters", tuple(map(index, self.letters)))
         if self.alphabet_size < 1:
             raise ValueError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
         for x in self.letters:
@@ -42,7 +43,7 @@ class Permutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "one_line", tuple(int(x) for x in self.one_line))
+        object.__setattr__(self, "one_line", tuple(map(index, self.one_line)))
         m = len(self.one_line)
         if sorted(self.one_line) != list(range(1, m + 1)):
             raise ValueError(f"{self.one_line} is not a permutation of 1..{m}")
@@ -51,26 +52,26 @@ class Permutation:
         return len(self.one_line)
 
 
+def _lis_lengths(letters) -> list[int]:
+    """``best[j]``: length of the longest strictly increasing subsequence
+    ending at position ``j`` (0-based); the quadratic dynamic program."""
+    best = [0] * len(letters)
+    for j, x in enumerate(letters):
+        b = 0
+        for i in range(j):
+            if letters[i] < x and best[i] > b:
+                b = best[i]
+        best[j] = b + 1
+    return best
+
+
 def lis(w: Word) -> int:
     """Length of the longest strictly increasing subsequence of ``w``.
 
     Quadratic dynamic program, deliberately independent of the insertion
     machinery so it can serve as an oracle for it.
     """
-    letters = w.letters
-    n = len(letters)
-    best = [0] * n
-    overall = 0
-    for j in range(n):
-        x = letters[j]
-        b = 0
-        for i in range(j):
-            if letters[i] < x and best[i] > b:
-                b = best[i]
-        best[j] = b + 1
-        if best[j] > overall:
-            overall = best[j]
-    return overall
+    return max(_lis_lengths(w.letters), default=0)
 
 
 def lds(w: Word) -> int:
@@ -101,22 +102,10 @@ def lis_end_positions(w: Word) -> dict[int, int]:
     ``r(w, t)`` is the largest (1-based) index such that the longest strictly
     increasing subsequence ending at that position has length ``t``.
     """
-    letters = w.letters
-    n = len(letters)
-    if n == 0:
+    if not w.letters:
         raise ValueError("lis_end_positions requires a nonempty word")
-    best = [0] * n
-    for j in range(n):
-        x = letters[j]
-        b = 0
-        for i in range(j):
-            if letters[i] < x and best[i] > b:
-                b = best[i]
-        best[j] = b + 1
-    out: dict[int, int] = {}
-    for j, t in enumerate(best):
-        out[t] = j + 1
-    return {t: out[t] for t in range(1, max(best) + 1)}
+    # a later position overwrites an earlier one; keys first appear as 1, 2, ...
+    return {t: j + 1 for j, t in enumerate(_lis_lengths(w.letters))}
 
 
 def reverse(w: Word) -> Word:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import heckelis
+from heckelis import cli
 from heckelis.cli import main
+from heckelis.tableaux import YoungDiagram
 
 
 def run_cli(args):
@@ -207,6 +209,9 @@ class TestUsageErrors:
             ["sweep", "--n", "100", "--alpha-grid", "nan", "--trials", "1"],
             ["sweep", "--n", "100", "--k-grid", "nan", "--trials", "1"],
             ["sweep", "--n", "100", "--alpha-grid", "200", "--trials", "1"],
+            ["sweep", "--n", "100", "--alpha-grid", "10", "--trials", "1"],
+            ["sample", "--n", "3", "--q", str(10**20), "--trials", "1"],
+            ["curve", "--n", "3", "--q", str(10**20), "--trials", "1"],
         ],
     )
     def test_bad_input_leaves_no_file(self, args, tmp_path, capsys):
@@ -214,6 +219,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_while_writing_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def one_shape_then_fail(*args):
+            yield YoungDiagram((1,))
+            raise ValueError("sampling failed")
+
+        monkeypatch.setattr(cli, "trial_shapes", one_shape_then_fail)
+        out = tmp_path / "x.csv"
+        assert run_cli(["sample", "--n", "1", "--q", "2", "--trials", "2", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: sampling failed\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

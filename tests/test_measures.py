@@ -100,7 +100,6 @@ class TestExactDistribution:
             exact_plancherel_hecke(11, 3)
         with pytest.raises(ExactModeGuardError):
             exact_plancherel_hecke(4, 6)
-        exact_plancherel_hecke(11, 3, max_n=12)
 
     def test_serialization(self):
         payload = exact_plancherel_hecke(1, 1).to_json()

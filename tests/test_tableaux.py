@@ -1,10 +1,12 @@
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from heckelis.insertion import schensted_shape
+from heckelis.kjdt import MixedTableau
 from heckelis.tableaux import (
     EMPTY_DIAGRAM,
     IncreasingTableau,
@@ -93,6 +95,24 @@ class TestTableauValidators:
     def test_semistandard_rejects_weak_column(self):
         with pytest.raises(ValueError):
             SemistandardTableau(((1, 1), (1,)), 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: Word((1, x), 3),
+            lambda x: Permutation((1, x)),
+            lambda x: YoungDiagram((x, 1)),
+            lambda x: IncreasingTableau(((1, x),)),
+            lambda x: SemistandardTableau(((1, x),), 3),
+            lambda x: MixedTableau({(1, 1): x}),
+        ],
+        ids=["Word", "Permutation", "YoungDiagram", "IncreasingTableau",
+             "SemistandardTableau", "MixedTableau"],
+    )
+    def test_entries_must_be_integers(self, build):
+        build(np.int64(2))
+        with pytest.raises(TypeError):
+            build(2.5)
 
 
 class TestCountIncreasing:
