@@ -45,7 +45,6 @@ from .asymptotics import (
 from .measures import (
     ExactModeGuardError,
     exact_plancherel_hecke,
-    expected_lis_exact,
 )
 from .patience import deck_simulation
 from .verification import FAST, FULL, run_suites
@@ -121,7 +120,7 @@ def cmd_exact(args) -> int:
     except ExactModeGuardError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    expected = expected_lis_exact(args.n, args.q)
+    expected = dist.expected_lis()
     payload = {
         "n": args.n,
         "q": args.q,

@@ -13,6 +13,17 @@ every switch maps to itself.
 Connected components use edge adjacency (shared box side), the usual
 jeu-de-taquin convention.
 
+A switch costs the boxes of its two labels, not the whole tableau.  Two
+boxes with the same label share neither a row nor a column, so they are
+never adjacent: every edge of the joint subshape joins an inner-i box to a
+plain-j box.  The boxes that move are therefore exactly the inner-i boxes
+with a plain-j neighbour and those neighbours.  The tableau was a mixed
+tableau before the switch and only the moved boxes changed label, so it is
+one afterwards unless a moved box shares a row or a column with another
+box of its new label.  ``_switch`` works on an index from each label to
+its set of boxes, looks only at those two sets, and checks that each of
+them still has distinct rows and distinct columns.
+
 K-infusion drives an inner standard tableau through an outer increasing
 filling by a full switch sequence; any viable sequence (a shuffle of the
 standard one respecting both per-row orders) computes the same result.
@@ -42,40 +53,6 @@ class MixedTableau:
         if not _valid_cells(cells):
             raise ValueError("an alphabet repeats within a row or column")
 
-    def dump(self) -> str:
-        """Row-per-line debug format; inner labels carry a ``_`` prefix."""
-        if not self.cells:
-            return ""
-        rows = max(r for r, _ in self.cells)
-        lines = []
-        for r in range(1, rows + 1):
-            cols = [c for (rr, c) in self.cells if rr == r]
-            if not cols:
-                lines.append(".")
-                continue
-            entries = []
-            for c in range(1, max(cols) + 1):
-                v = self.cells.get((r, c))
-                if v is None:
-                    entries.append(".")
-                elif v < 0:
-                    entries.append(f"_{-v}")
-                else:
-                    entries.append(str(v))
-            lines.append(" ".join(entries))
-        return "\n".join(lines)
-
-
-def parse_mixed(text: str) -> MixedTableau:
-    """Inverse of :meth:`MixedTableau.dump`; ``.`` marks an absent box."""
-    cells: Cells = {}
-    for r, line in enumerate(text.strip().splitlines(), start=1):
-        for c, token in enumerate(line.split(), start=1):
-            if token == ".":
-                continue
-            cells[(r, c)] = -int(token[1:]) if token.startswith("_") else int(token)
-    return MixedTableau(cells)
-
 
 def _valid_cells(cells: Cells) -> bool:
     seen_row: set[tuple[int, int]] = set()
@@ -88,32 +65,46 @@ def _valid_cells(cells: Cells) -> bool:
     return True
 
 
-def _switch_cells(cells: Cells, i: int, j: int) -> Cells | None:
-    """Core of the switch operator on a raw cell dict; None means null."""
-    inner, plain = -i, j
-    sub = [box for box, v in cells.items() if v == inner or v == plain]
-    if not sub:
-        return dict(cells)
-    subset = set(sub)
-    out = dict(cells)
-    unvisited = set(sub)
-    while unvisited:
-        start = unvisited.pop()
-        component = [start]
-        frontier = [start]
-        while frontier:
-            r, c = frontier.pop()
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in subset and nb in unvisited:
-                    unvisited.discard(nb)
-                    component.append(nb)
-                    frontier.append(nb)
-        if len(component) > 1:
-            for box in component:
-                out[box] = plain if cells[box] == inner else inner
-    if not _valid_cells(out):
-        return None
-    return out
+Where = dict[int, set[tuple[int, int]]]
+
+
+def _index(cells: Cells) -> Where:
+    where: Where = {}
+    for box, v in cells.items():
+        where.setdefault(v, set()).add(box)
+    return where
+
+
+def _cells(where: Where) -> Cells:
+    return {box: v for v, boxes in where.items() for box in boxes}
+
+
+def _apart(boxes) -> bool:
+    """No two of ``boxes`` share a row or a column."""
+    return len({r for r, _ in boxes}) == len(boxes) == len({c for _, c in boxes})
+
+
+def _switch(where: Where, i: int, j: int) -> bool:
+    """Switch the label index in place; False (index untouched) means null."""
+    inner = where.get(-i)
+    plain = where.get(j)
+    if not inner or not plain:
+        return True
+    up, down = set(), set()  # boxes turning plain, boxes turning inner
+    for r, c in inner:
+        neighbours = {(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)} & plain
+        if neighbours:
+            up.add((r, c))
+            down |= neighbours
+    if not up:
+        return True
+    new_plain = (plain - down) | up
+    new_inner = (inner - up) | down
+    if not (_apart(new_plain) and _apart(new_inner)):
+        return False
+    where[j] = new_plain
+    where[-i] = new_inner
+    return True
 
 
 def switch(i: int, j: int, t: MixedTableau | None) -> MixedTableau | None:
@@ -124,8 +115,8 @@ def switch(i: int, j: int, t: MixedTableau | None) -> MixedTableau | None:
         raise ValueError("alphabet labels are 1-based")
     if t is None:
         return None
-    new = _switch_cells(t.cells, i, j)
-    return None if new is None else MixedTableau(new)
+    where = _index(t.cells)
+    return MixedTableau(_cells(where)) if _switch(where, i, j) else None
 
 
 SwitchSequence = tuple[tuple[int, int], ...]
@@ -173,15 +164,6 @@ def random_viable_sequence(p: int, q: int, seed) -> SwitchSequence:
     return tuple(out)
 
 
-def mixed_from_regions(inner: Cells, plain: Cells) -> MixedTableau:
-    cells: Cells = {box: -v for box, v in inner.items()}
-    for box, v in plain.items():
-        if box in cells:
-            raise ValueError(f"box {box} used by both regions")
-        cells[box] = v
-    return MixedTableau(cells)
-
-
 def _infusion_cells(inner: Cells, plain: Cells, sequence=None, plain_alphabet=None) -> Cells:
     p = max(inner.values(), default=0)
     q = plain_alphabet if plain_alphabet is not None else max(plain.values(), default=0)
@@ -195,11 +177,11 @@ def _infusion_cells(inner: Cells, plain: Cells, sequence=None, plain_alphabet=No
     cells.update(plain)
     if not _valid_cells(cells):
         raise ValueError("regions do not form a mixed tableau")
+    where = _index(cells)
     for i, j in sequence:
-        cells = _switch_cells(cells, i, j)
-        if cells is None:
+        if not _switch(where, i, j):
             raise ValueError("switch sequence hit the null tableau")
-    return cells
+    return _cells(where)
 
 
 def _plain_to_tableau(cells: Cells) -> IncreasingTableau:
@@ -242,15 +224,3 @@ def k_rectify(w: Word, sequence=None) -> IncreasingTableau:
     outer = antidiagonal_cells(w)
     plain_part, _ = k_infusion(inner, outer, sequence, plain_alphabet=w.alphabet_size)
     return plain_part
-
-
-def check_commutation(i: int, r: int, j: int, s: int, t: MixedTableau | None) -> bool:
-    """Whether switch(i, r) and switch(j, s) commute on ``t``; they must
-    whenever ``i != j`` and ``r != s``."""
-    if i == j or r == s:
-        raise ValueError("commutation requires i != j and r != s")
-    one = switch(j, s, switch(i, r, t))
-    two = switch(i, r, switch(j, s, t))
-    if one is None or two is None:
-        return one is None and two is None
-    return one.cells == two.cells

@@ -26,10 +26,11 @@ from .tableaux import (
     YoungDiagram,
     count_increasing,
     count_semistandard,
-    count_set_valued_standard,
     count_standard,
     diagram_to_json,
     partitions_in_staircase,
+    set_valued_counts,
+    staircase,
 )
 from .words import random_word
 
@@ -59,6 +60,13 @@ class ExactDistribution:
     def support(self) -> tuple[YoungDiagram, ...]:
         return tuple(s for s, p in self.entries if p > 0)
 
+    def expected_lis(self) -> Fraction:
+        """Expectation of the first-row length (equivalently of LIS)."""
+        return sum(
+            (Fraction(s.parts[0]) * p for s, p in self.entries if s.parts),
+            start=Fraction(0),
+        )
+
     def to_json(self) -> list[dict]:
         return [
             {"shape": diagram_to_json(s), "num": str(p.numerator), "den": str(p.denominator)}
@@ -80,8 +88,9 @@ def plancherel_hecke_weights(n: int, q: int):
     ``min(n, q(q+1)/2)`` boxes.  The weight is the increasing-tableau count
     times the standard set-valued count: the number of length-``n`` words
     over ``{1..q}`` with that insertion shape, so the weights sum to ``q^n``."""
+    set_valued = set_valued_counts(staircase(q), n)
     for shape in partitions_in_staircase(q, min(n, q * (q + 1) // 2)):
-        yield shape, count_increasing(shape, q) * count_set_valued_standard(shape, n)
+        yield shape, count_increasing(shape, q) * set_valued.get(shape.parts, 0)
 
 
 def exact_plancherel_hecke(n: int, q: int) -> ExactDistribution:
@@ -103,11 +112,7 @@ def exact_plancherel_hecke(n: int, q: int) -> ExactDistribution:
 
 def expected_lis_exact(n: int, q: int) -> Fraction:
     """Exact expectation of the first-row statistic (equivalently of LIS)."""
-    dist = exact_plancherel_hecke(n, q)
-    return sum(
-        (Fraction(s.parts[0]) * p for s, p in dist.entries if s.parts),
-        start=Fraction(0),
-    )
+    return exact_plancherel_hecke(n, q).expected_lis()
 
 
 def prob_lis_exact(n: int, q: int, ell: int) -> Fraction:

@@ -6,7 +6,8 @@ Counts provided here:
   at most ``q`` (memoized row-by-row backtracking; no product formula is
   known, and large prime factors in small cases suggest none exists).
 * ``count_set_valued_standard(shape, n)``: standard set-valued fillings on
-  the labels ``1..n``, by recursion on the largest label.
+  the labels ``1..n``, by a dynamic program over the labels
+  (``set_valued_counts`` gives every subshape of a bound in one pass).
 * ``count_standard(shape)``: hook-length formula.
 * ``count_semistandard(shape, q)``: hook-content formula.
 
@@ -92,17 +93,6 @@ def addable_corners(shape: YoungDiagram) -> list[tuple[int, int]]:
     if parts:
         out.append((len(parts) + 1, 1))
     return out
-
-
-def remove_corner(shape: YoungDiagram, corner: tuple[int, int]) -> YoungDiagram:
-    r, c = corner
-    parts = list(shape.parts)
-    if not (1 <= r <= len(parts)) or parts[r - 1] != c or (corner not in corners(shape)):
-        raise ValueError(f"{corner} is not a corner of {shape.parts}")
-    parts[r - 1] -= 1
-    if parts[r - 1] == 0:
-        parts.pop()
-    return YoungDiagram(tuple(parts))
 
 
 def add_corner(shape: YoungDiagram, corner: tuple[int, int]) -> YoungDiagram:
@@ -275,29 +265,38 @@ def count_increasing(shape: YoungDiagram, q: int) -> int:
     return complete(0, ())
 
 
-@lru_cache(maxsize=None)
-def _count_set_valued(parts: tuple[int, ...], n: int) -> int:
-    if n == 0:
-        return 1 if not parts else 0
-    if not parts or sum(parts) > n:
-        return 0
-    shape = YoungDiagram(parts)
-    cs = corners(shape)
-    total = len(cs) * _count_set_valued(parts, n - 1)
-    for corner in cs:
-        total += _count_set_valued(remove_corner(shape, corner).parts, n - 1)
-    return total
+def set_valued_counts(bound: YoungDiagram, n: int) -> dict[tuple[int, ...], int]:
+    """Number of standard set-valued tableaux on labels 1..n of every
+    subshape of ``bound``, keyed by its parts; shapes with none are left out.
 
-
-def count_set_valued_standard(shape: YoungDiagram, n: int) -> int:
-    """Number of standard set-valued tableaux of ``shape`` on labels 1..n.
-
-    Recursion on the largest label: it sits in a corner box, either joining
-    the labels already there or occupying the corner alone.
+    Dynamic program over the labels in increasing order: label m is the
+    largest placed so far, so it either joins the labels of a corner box or
+    sits alone in a new box.  One pass of n steps, with no recursion.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _count_set_valued(shape.parts, n)
+    parts = bound.parts
+    counts = {(): 1}
+    for _ in range(n):
+        grown: dict[tuple[int, ...], int] = {}
+        for mu, k in counts.items():
+            # the new label joins the labels of a corner box (one corner per
+            # distinct part) ...
+            if mu:
+                grown[mu] = grown.get(mu, 0) + len(set(mu)) * k
+            # ... or sits alone in a box of the bound that extends mu
+            for r in range(min(len(mu) + 1, len(parts))):
+                width = mu[r] if r < len(mu) else 0
+                if width < parts[r] and (r == 0 or mu[r - 1] > width):
+                    nu = mu[:r] + (width + 1,) + mu[r + 1 :]
+                    grown[nu] = grown.get(nu, 0) + k
+        counts = grown
+    return counts
+
+
+def count_set_valued_standard(shape: YoungDiagram, n: int) -> int:
+    """Number of standard set-valued tableaux of ``shape`` on labels 1..n."""
+    return set_valued_counts(shape, n).get(shape.parts, 0)
 
 
 def hooks(shape: YoungDiagram) -> dict[tuple[int, int], int]:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here enumerates rather than computes: subsequences for LIS/LDS,
-full fillings for the tableau counts.  None of it touches the package's
-dynamic programs, product formulas, or insertion code, so these functions
-can sit on the other side of every two-route check.
+full fillings for the tableau counts, every cell of a mixed tableau for a
+switch.  None of it touches the package's dynamic programs, product
+formulas, insertion code or label index, so these functions can sit on the
+other side of every two-route check.
 """
 
 from itertools import combinations, product
@@ -153,3 +154,33 @@ def all_partitions(max_size):
 
     extend((), max_size, max_size)
     return sorted(set(out))
+
+
+def brute_switch(cells, i, j):
+    """Switch on a raw mixed-tableau cell dict by scanning every cell: find
+    the connected components of the inner-``i``/plain-``j`` subshape, swap the
+    labels of each component with two or more boxes, then re-check every row
+    and column.  Returns the new dict, or None for the null tableau."""
+    inner, plain = -i, j
+    out = dict(cells)
+    unvisited = {box for box, v in cells.items() if v == inner or v == plain}
+    while unvisited:
+        start = unvisited.pop()
+        component = [start]
+        frontier = [start]
+        while frontier:
+            r, c = frontier.pop()
+            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if nb in unvisited:
+                    unvisited.discard(nb)
+                    component.append(nb)
+                    frontier.append(nb)
+        if len(component) > 1:
+            for box in component:
+                out[box] = plain if cells[box] == inner else inner
+    seen = set()
+    for (r, c), v in out.items():
+        if ("row", r, v) in seen or ("col", c, v) in seen:
+            return None
+        seen.update({("row", r, v), ("col", c, v)})
+    return out

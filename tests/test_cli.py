@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import heckelis
-from heckelis import cli
+from heckelis import cli, measures
 from heckelis.cli import main
+from heckelis.measures import exact_plancherel_hecke
 from heckelis.tableaux import YoungDiagram
 
 
@@ -59,6 +60,18 @@ class TestExact:
         manifest = json.loads((tmp_path / "dist.json.manifest.json").read_text())
         assert manifest["subcommand"] == "exact"
         assert manifest["params"] == {"n": 3, "q": 2}
+
+    def test_distribution_built_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(n, q):
+            calls.append((n, q))
+            return exact_plancherel_hecke(n, q)
+
+        monkeypatch.setattr(cli, "exact_plancherel_hecke", counted)
+        monkeypatch.setattr(measures, "exact_plancherel_hecke", counted)
+        assert run_cli(["exact", "--n", "10", "--q", "5"]) == 0
+        assert calls == [(10, 5)]
 
     def test_guard_violation_is_usage_error(self, capsys):
         assert run_cli(["exact", "--n", "40", "--q", "3"]) == 2

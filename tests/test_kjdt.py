@@ -7,20 +7,75 @@ import hypothesis.strategies as st
 from heckelis.insertion import hecke
 from heckelis.kjdt import (
     MixedTableau,
-    check_commutation,
     is_viable,
     k_infusion,
     k_rectify,
-    mixed_from_regions,
-    parse_mixed,
     random_viable_sequence,
     standard_sequence,
     switch,
 )
-from heckelis.tableaux import IncreasingTableau, staircase
+from heckelis.tableaux import IncreasingTableau, antidiagonal_cells, staircase, superstandard
 from heckelis.words import Word
 
 from conftest import words
+from oracles import brute_switch
+
+
+def dump(t: MixedTableau) -> str:
+    """Row-per-line debug format; inner labels carry a ``_`` prefix."""
+    if not t.cells:
+        return ""
+    rows = max(r for r, _ in t.cells)
+    lines = []
+    for r in range(1, rows + 1):
+        cols = [c for (rr, c) in t.cells if rr == r]
+        if not cols:
+            lines.append(".")
+            continue
+        entries = []
+        for c in range(1, max(cols) + 1):
+            v = t.cells.get((r, c))
+            if v is None:
+                entries.append(".")
+            elif v < 0:
+                entries.append(f"_{-v}")
+            else:
+                entries.append(str(v))
+        lines.append(" ".join(entries))
+    return "\n".join(lines)
+
+
+def parse_mixed(text: str) -> MixedTableau:
+    """Inverse of :func:`dump`; ``.`` marks an absent box."""
+    cells = {}
+    for r, line in enumerate(text.strip().splitlines(), start=1):
+        for c, token in enumerate(line.split(), start=1):
+            if token == ".":
+                continue
+            cells[(r, c)] = -int(token[1:]) if token.startswith("_") else int(token)
+    return MixedTableau(cells)
+
+
+def mixed_from_regions(inner, plain) -> MixedTableau:
+    cells = {box: -v for box, v in inner.items()}
+    for box, v in plain.items():
+        if box in cells:
+            raise ValueError(f"box {box} used by both regions")
+        cells[box] = v
+    return MixedTableau(cells)
+
+
+def check_commutation(i: int, r: int, j: int, s: int, t: MixedTableau | None) -> bool:
+    """Whether switch(i, r) and switch(j, s) commute on ``t``; they must
+    whenever ``i != j`` and ``r != s``."""
+    if i == j or r == s:
+        raise ValueError("commutation requires i != j and r != s")
+    one = switch(j, s, switch(i, r, t))
+    two = switch(i, r, switch(j, s, t))
+    if one is None or two is None:
+        return one is None and two is None
+    return one.cells == two.cells
+
 
 EXAMPLE_T = parse_mixed("_2 _1 _3 1\n_1 3 1\n2")
 
@@ -28,11 +83,11 @@ EXAMPLE_T = parse_mixed("_2 _1 _3 1\n_1 3 1\n2")
 class TestSwitch:
     def test_worked_first_switch(self):
         out = switch(1, 2, EXAMPLE_T)
-        assert out.dump() == "_2 _1 _3 1\n2 3 1\n_1"
+        assert dump(out) == "_2 _1 _3 1\n2 3 1\n_1"
 
     def test_worked_second_switch(self):
         out = switch(3, 1, EXAMPLE_T)
-        assert out.dump() == "_2 _1 1 _3\n_1 3 _3\n2"
+        assert dump(out) == "_2 _1 1 _3\n_1 3 _3\n2"
 
     def test_worked_null_result(self):
         t = parse_mixed("1 _2\n_1\n_2")
@@ -94,6 +149,35 @@ class TestSwitchProperties:
         if t is None or i == j or r == s:
             return
         assert check_commutation(i, r, j, s, t)
+
+    @given(mixed_tableaux(), st.data())
+    @settings(max_examples=300)
+    def test_matches_full_scan_oracle(self, t, data):
+        if t is None:
+            return
+        # labels present in t, so that most switches move boxes
+        labels = lambda sign: sorted({sign * v for v in t.cells.values() if sign * v > 0}) or [1]
+        i = data.draw(st.sampled_from(labels(-1)))
+        j = data.draw(st.sampled_from(labels(1)))
+        out = switch(i, j, t)
+        assert (None if out is None else out.cells) == brute_switch(t.cells, i, j)
+
+    def test_matches_full_scan_oracle_exhaustive(self):
+        """Every filling of shape (3, 2, 1) by inner and plain 1, 2 or
+        nothing that is a mixed tableau, under all four switches."""
+        boxes = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+        nulls = 0
+        for values in product((0, -1, -2, 1, 2), repeat=len(boxes)):
+            cells = {box: v for box, v in zip(boxes, values) if v}
+            try:
+                t = MixedTableau(cells)
+            except ValueError:
+                continue
+            for i, j in product((1, 2), repeat=2):
+                out = switch(i, j, t)
+                assert (None if out is None else out.cells) == brute_switch(cells, i, j)
+                nulls += out is None
+        assert nulls == 480
 
     def test_commutation_on_worked_example(self):
         assert check_commutation(1, 2, 3, 1, EXAMPLE_T)
@@ -162,7 +246,7 @@ class TestKInfusion:
         states = []
         for i, j in seq:
             t = switch(i, j, t)
-            states.append(t.dump())
+            states.append(dump(t))
         assert states[9] == "1 3 _2 _3\n_1 _2 5\n2 4 6"     # row 2 normal form
         assert states[12] == "1 3 5 _3\n2 4 _2\n_1 _2 6"    # row 3 normal form
         assert states[17] == "1 3 5 _3\n2 4 6\n6 _1 _2"
@@ -184,6 +268,37 @@ class TestKInfusion:
     def test_rejects_overlapping_regions(self):
         with pytest.raises(ValueError):
             k_infusion(WORKED_INNER, {(1, 1): 5})
+
+
+def oracle_infusion(inner, plain, sequence):
+    """Infusion by the full-scan switch of ``tests/oracles.py``."""
+    cells = {box: -v for box, v in inner.items()}
+    cells.update(plain)
+    for i, j in sequence:
+        cells = brute_switch(cells, i, j)
+        assert cells is not None
+    return cells
+
+
+def test_infusion_matches_oracle_exhaustive():
+    """Every word with n <= 5 and q <= 3: the indexed infusion under a random
+    viable sequence ends where the full-scan switch ends."""
+    checked = 0
+    for q in range(1, 4):
+        for n in range(0, 6):
+            inner = superstandard(staircase(max(n - 1, 0)))
+            inner_cells = {box: inner.rows[box[0] - 1][box[1] - 1] for box in inner.shape.boxes()}
+            for letters in product(range(1, q + 1), repeat=n):
+                w = Word(letters, q)
+                seq = random_viable_sequence(inner.shape.size, q, checked)
+                plain, inner_out = k_infusion(inner, antidiagonal_cells(w), seq, plain_alphabet=q)
+                cells = oracle_infusion(inner_cells, antidiagonal_cells(w), seq)
+                assert inner_out == {box: -v for box, v in cells.items() if v < 0}
+                assert {
+                    (r, c): v for r, row in enumerate(plain.rows, 1) for c, v in enumerate(row, 1)
+                } == {box: v for box, v in cells.items() if v > 0}
+                checked += 1
+    assert checked == 6 + 63 + 364
 
 
 class TestKRectify:
@@ -231,8 +346,8 @@ class TestKRectify:
 
 class TestDumpFormat:
     def test_roundtrip(self):
-        assert parse_mixed(EXAMPLE_T.dump()).cells == EXAMPLE_T.cells
+        assert parse_mixed(dump(EXAMPLE_T)).cells == EXAMPLE_T.cells
 
     def test_skew_gap_rendering(self):
         t = MixedTableau({(1, 2): -3, (2, 1): 4})
-        assert t.dump() == ". _3\n4"
+        assert dump(t) == ". _3\n4"

@@ -25,6 +25,7 @@ from heckelis.tableaux import (
     increasing_to_json,
     partitions_in_staircase,
     reading_word,
+    set_valued_counts,
     set_valued_to_json,
     staircase,
     superstandard,
@@ -159,6 +160,14 @@ class TestCountSetValued:
         for n in range(1, 6):
             assert count_set_valued_standard(YoungDiagram((1,)), n) == 1
 
+    def test_many_labels(self):
+        # one step per label, no recursion: n = 600 is past the default
+        # recursion limit of a label-by-label recursion
+        n = 600
+        assert count_set_valued_standard(YoungDiagram((1,)), n) == 1
+        assert count_set_valued_standard(YoungDiagram((2,)), n) == n - 1
+        assert count_set_valued_standard(YoungDiagram((1, 1)), n) == n - 1
+
     def test_zero_cases(self):
         assert count_set_valued_standard(YoungDiagram((2,)), 1) == 0
         assert count_set_valued_standard(EMPTY_DIAGRAM, 1) == 0
@@ -168,6 +177,15 @@ class TestCountSetValued:
         for parts in all_partitions(5):
             for n in range(0, 8):
                 assert count_set_valued_standard(YoungDiagram(parts), n) == brute_count_set_valued(parts, n)
+
+    def test_table_over_a_bound_against_enumeration(self):
+        # one pass gives every subshape of the bound; zero counts are left out
+        for n in range(0, 7):
+            table = set_valued_counts(staircase(3), n)
+            for shape in partitions_in_staircase(3, 6):
+                count = brute_count_set_valued(shape.parts, n)
+                assert table.get(shape.parts, 0) == count
+                assert (shape.parts in table) == (count > 0)
 
     def test_exact_label_count_is_standard_count(self):
         for parts in all_partitions(8):
