@@ -64,25 +64,18 @@ from .measures import (
     expected_lis_exact,
     prob_lis_exact,
     plancherel_rsk_prob,
-    plancherel_prob,
     markov_transition,
-    markov_sample_path,
-    gamma_estimate,
 )
 from .asymptotics import (
     SweepConfig,
     SweepResult,
-    sweep,
     sweep_at,
     trial_words,
     trial_shapes,
-    rescale,
     plancherel_curve,
     line_curve,
     sup_norm_distance,
     beta,
     erdos_szekeres_bound,
-    check_es,
-    staircase_check,
 )
 from .patience import PileState, play_greedy, pile_tops, pile_count, deck_simulation

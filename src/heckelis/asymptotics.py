@@ -19,17 +19,8 @@ import numpy as np
 
 from .insertion import heckeshape
 from .rng import trial_stream
-from .tableaux import YoungDiagram, conjugate, staircase
-from .words import (
-    Word,
-    coxeter_length,
-    hecke_product,
-    lds,
-    lis,
-    longest_element,
-    patience_lis,
-    random_word,
-)
+from .tableaux import conjugate, staircase
+from .words import hecke_product, longest_element, patience_lis, random_word
 
 
 def round_half_up(x: float) -> int:
@@ -209,11 +200,6 @@ def sweep_at(
     )
 
 
-def sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
-    """Run the configured trials and aggregate LIS/LDS statistics."""
-    return sweep_at(config.n, config.q, config.trials, config.seed, threads=threads)
-
-
 # --- rescaled shape functions and reference curves -------------------------
 
 SQRT_REGIME = "sqrt"
@@ -266,11 +252,6 @@ def profile_function(mean_profile, n: int, q: int, regime: str) -> ShapeFunction
     if scale <= 0:
         raise ValueError(f"the {regime} regime scale is {scale:g} at n={n}, q={q}, must be > 0")
     return ShapeFunction(tuple(float(v) for v in mean_profile), scale)
-
-
-def rescale(shape: YoungDiagram, n: int, q: int, regime: str) -> ShapeFunction:
-    """ShapeFunction of one diagram's column profile."""
-    return profile_function(conjugate(shape).parts, n, q, regime)
 
 
 def _curve_x(theta: float) -> float:
@@ -342,32 +323,3 @@ def erdos_szekeres_bound(a: int, b: int, q: int) -> int:
     if not (1 <= a < q and 1 <= b < q):
         raise ValueError(f"need 1 <= a, b < q, got a={a}, b={b}, q={q}")
     return sum(min(b, q - i + 1) for i in range(1, a + 1))
-
-
-def check_es(w: Word, a: int, b: int) -> bool:
-    """Verify the bound's implication on one word."""
-    bound = erdos_szekeres_bound(a, b, w.alphabet_size)
-    if coxeter_length(hecke_product(w)) <= bound:
-        return True
-    return lis(w) > a or lds(w) > b
-
-
-def staircase_check(n: int, q: int, trials: int, seed: int) -> float:
-    """Fraction of sampled shapes equal to the full staircase.
-
-    Each trial also runs the equivalent permutation test (the Demazure
-    product being the longest element) and insists the two agree.
-    """
-    target = staircase(q)
-    w0 = longest_element(q)
-    hits = 0
-    for t in range(trials):
-        w = random_word(n, q, trial_stream(seed, t))
-        by_shape = heckeshape(w) == target
-        by_perm = hecke_product(w) == w0
-        if by_shape != by_perm:
-            raise AssertionError(
-                f"staircase and longest-element tests disagree on trial {t}"
-            )
-        hits += by_shape
-    return hits / trials

@@ -15,7 +15,8 @@ Every output artifact is accompanied by a ``<name>.manifest.json`` recording
 the subcommand, full parameter set, base seed, and code version; rerunning
 with the same manifest parameters reproduces the data files byte for byte
 (floats are printed with six fixed decimals, and all Monte Carlo
-accumulation is integer counts merged commutatively).
+accumulation is integer counts merged commutatively).  A command that fails
+to write any of its files leaves none of them, manifest included.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error.
 """
@@ -38,7 +39,6 @@ from .asymptotics import (
     plancherel_curve,
     profile_function,
     sup_norm_distance,
-    sweep,
     sweep_at,
     trial_shapes,
 )
@@ -72,35 +72,57 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def write_manifest(path: str, subcommand: str, params: dict, seed) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "params": params,
-        "seed": seed,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: str, params: dict, seed, header, rows) -> None:
-    """Write the ``# key=value`` parameter line (seed included), the column
-    names and ``rows`` to a temporary file beside ``path``, and rename it to
-    ``path`` only after the last row, so a failure leaves no data file."""
+def _write_atomic(path: str, write) -> None:
+    """Run ``write`` on a temporary file beside ``path`` and rename the file
+    to ``path`` only after ``write`` returns, so a failure leaves no file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            items = sorted({**params, "seed": seed}.items())
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in items) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
+
+
+def _csv(params: dict, seed, header, rows):
+    """Writer of the ``# key=value`` parameter line (seed included), the
+    column names and ``rows``."""
+    line = "# " + " ".join(f"{k}={v}" for k, v in sorted({**params, "seed": seed}.items()))
+
+    def write(fh):
+        fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    return write
+
+
+def _publish(base: str, subcommand: str, params: dict, seed, files) -> None:
+    """Write each ``(path, write)`` of ``files``, then ``<base>.manifest.json``
+    with the subcommand, ``params``, seed and code version.  If any of them
+    fails, the data files already written are removed, so no data file is
+    left without its manifest."""
+
+    def manifest(fh):
+        fh.write(json.dumps({
+            "subcommand": subcommand,
+            "params": params,
+            "seed": seed,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }, indent=2, sort_keys=True) + "\n")
+
+    written = []
+    try:
+        for path, write in [*files, (base + ".manifest.json", manifest)]:
+            _write_atomic(path, write)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
         raise
 
 
@@ -129,9 +151,8 @@ def cmd_exact(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        write_manifest(args.out, "exact", {"n": args.n, "q": args.q}, seed=None)
+        _publish(args.out, "exact", {"n": args.n, "q": args.q}, None,
+                 [(args.out, lambda fh: fh.write(text))])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -145,8 +166,8 @@ def cmd_sample(args) -> int:
         [t, args.seed, " ".join(map(str, s.parts)), s.parts[0] if s.parts else 0, len(s.parts)]
         for t, s in enumerate(shapes)
     )
-    _write_csv(args.out, params, args.seed, ["trial", "seed", "shape", "lis", "lds"], rows)
-    write_manifest(args.out, "sample", params, args.seed)
+    _publish(args.out, "sample", params, args.seed,
+             [(args.out, _csv(params, args.seed, ["trial", "seed", "shape", "lis", "lds"], rows))])
     print(f"wrote {args.out}")
     return 0
 
@@ -174,15 +195,14 @@ def cmd_sweep(args) -> int:
     }
     rows = []
     for config in configs:
-        res = sweep(config, threads=args.threads)
+        res = sweep_at(config.n, config.q, config.trials, config.seed, threads=args.threads)
         rows.append([config.n, res.q, config.mode_label, config.trials,
                      _fmt(res.mean_lis), _fmt(res.mean_lds),
                      _fmt(res.sigma_lis), _fmt(res.sigma_lds),
                      _fmt(res.staircase_fraction)])
     header = ["n", "q", "alpha_or_k", "trials", "mean_lis", "mean_lds",
               "sigma_lis", "sigma_lds", "staircase_fraction"]
-    _write_csv(args.out, params, args.seed, header, rows)
-    write_manifest(args.out, "sweep", params, args.seed)
+    _publish(args.out, "sweep", params, args.seed, [(args.out, _csv(params, args.seed, header, rows))])
     print(f"wrote {args.out}")
     return 0
 
@@ -203,10 +223,12 @@ def cmd_curve(args) -> int:
                      _fmt(plancherel_curve(x)), _fmt(line_curve(x))])
     dist_curve = sup_norm_distance(fhat, plancherel_curve)
     dist_line = sup_norm_distance(fhat, line_curve)
-    _write_csv(args.out, params, args.seed, ["x", "f_hat", "plancherel_curve", "line"], rows)
-    params["sup_distance_plancherel"] = _fmt(dist_curve)
-    params["sup_distance_line"] = _fmt(dist_line)
-    write_manifest(args.out, "curve", params, args.seed)
+    # the distances go to the manifest only, not to the CSV parameter line
+    manifest_params = {**params, "sup_distance_plancherel": _fmt(dist_curve),
+                       "sup_distance_line": _fmt(dist_line)}
+    _publish(args.out, "curve", manifest_params, args.seed, [
+        (args.out, _csv(params, args.seed, ["x", "f_hat", "plancherel_curve", "line"], rows)),
+    ])
     print(f"wrote {args.out}")
     print(f"sup-norm distance to plancherel curve: {_fmt(dist_curve)}")
     print(f"sup-norm distance to staircase line:   {_fmt(dist_line)}")
@@ -218,11 +240,11 @@ def cmd_patience(args) -> int:
     params = {"ranks": args.ranks, "copies": args.copies, "trials": args.trials}
     hist_path = args.out + "_histogram.csv"
     sizes_path = args.out + "_pile_sizes.csv"
-    _write_csv(hist_path, params, args.seed, ["pile_count", "frequency"],
-               stats.histogram.items())
-    _write_csv(sizes_path, params, args.seed, ["position", "mean_size"],
-               ([pos, _fmt(size)] for pos, size in enumerate(stats.mean_pile_sizes, start=1)))
-    write_manifest(args.out, "patience", params, args.seed)
+    sizes = ([pos, _fmt(size)] for pos, size in enumerate(stats.mean_pile_sizes, start=1))
+    _publish(args.out, "patience", params, args.seed, [
+        (hist_path, _csv(params, args.seed, ["pile_count", "frequency"], stats.histogram.items())),
+        (sizes_path, _csv(params, args.seed, ["position", "mean_size"], sizes)),
+    ])
     print(f"wrote {hist_path} and {sizes_path}")
     print(f"mean pile count: {stats.mean_piles:.4f}")
     return 0

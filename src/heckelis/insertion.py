@@ -222,13 +222,3 @@ def schensted_shape(p: Permutation) -> YoungDiagram:
     """Schensted shape of a permutation; coincides with ``rsk_shape`` on its
     one-line word."""
     return rsk_shape(Word(p.one_line, len(p.one_line)))
-
-
-def pair_to_json(pq: HeckePair) -> dict:
-    from .tableaux import diagram_to_json, increasing_to_json, set_valued_to_json
-
-    return {
-        "shape": diagram_to_json(pq.shape),
-        "p": increasing_to_json(pq.p),
-        "q": set_valued_to_json(pq.q),
-    }

@@ -173,6 +173,8 @@ def _infusion_cells(inner: Cells, plain: Cells, sequence=None, plain_alphabet=No
         sequence = standard_sequence(p, q)
     elif not is_viable(sequence, p, q):
         raise ValueError(f"switch sequence is not viable for p={p}, q={q}")
+    if inner.keys() & plain.keys():
+        raise ValueError("inner and plain regions overlap")
     cells: Cells = {box: -v for box, v in inner.items()}
     cells.update(plain)
     if not _valid_cells(cells):

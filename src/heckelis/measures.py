@@ -1,15 +1,13 @@
-"""Plancherel-Hecke and Plancherel-RSK measures, exact and sampled.
+"""Plancherel-Hecke and Plancherel-RSK measures on Young diagrams, exact.
 
 The exact distribution on shapes weights each candidate by the product of
 the increasing-tableau count and the standard set-valued count, normalized
 by ``q^n``; construction asserts the normalizer identity exactly.  The RSK
-variant uses the hook-length and hook-content counts instead, is a Markov
-measure on Young's lattice, and admits a growth-process sampler alongside
-the RSK pushforward sampler; the two are cross-checked in the tests.
-Plancherel-Hecke samples come from ``asymptotics.trial_shapes``.
+variant uses the hook-length and hook-content counts instead and is a
+Markov measure on Young's lattice, with the growth-process transitions
+given here.  Plancherel-Hecke samples come from ``asymptotics.trial_shapes``.
 
-Exact mode is arbitrary-precision rational arithmetic throughout.  Monte
-Carlo mode keeps counts in integers and only forms floats at the end.
+All of it is arbitrary-precision rational arithmetic.
 """
 
 from __future__ import annotations
@@ -17,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .insertion import rsk_shape
-from .rng import generator
 from .tableaux import (
-    EMPTY_DIAGRAM,
     YoungDiagram,
     count_increasing,
     count_semistandard,
@@ -32,7 +25,6 @@ from .tableaux import (
     set_valued_counts,
     staircase,
 )
-from .words import random_word
 
 # exact enumeration is refused past these sizes
 MAX_N = 10
@@ -131,18 +123,6 @@ def plancherel_rsk_prob(shape: YoungDiagram, n: int, q: int) -> Fraction:
     return Fraction(count_standard(shape) * count_semistandard(shape, q), q**n)
 
 
-def plancherel_prob(shape: YoungDiagram, n: int) -> Fraction:
-    """Classical Plancherel weight: squared standard count over ``n!``."""
-    if shape.size != n:
-        raise ValueError(f"shape has {shape.size} boxes, expected n={n}")
-    if n == 0:
-        return Fraction(1)
-    from math import factorial
-
-    f = count_standard(shape)
-    return Fraction(f * f, factorial(n))
-
-
 def markov_transition(shape: YoungDiagram, target: YoungDiagram, q: int) -> Fraction:
     """Growth-process transition probability from ``shape`` to a shape
     covering it in Young's lattice."""
@@ -153,100 +133,3 @@ def markov_transition(shape: YoungDiagram, target: YoungDiagram, q: int) -> Frac
         raise ValueError(f"{shape.parts} has no semistandard fillings with q={q}")
     g_to = count_semistandard(target, q)
     return Fraction(g_to, q * g_from)
-
-
-def _growth_weights(parts: list[int], conj: list[int], q: int) -> tuple[list[tuple[int, int]], list[float]]:
-    """Addable boxes of the shape and their relative weights g(new)/g(old).
-
-    Adding a box at (r, c) multiplies the hook-content product by
-    ``q + (c - r)`` for the new box (its own hook is 1) and stretches by one
-    the hooks of the boxes in its row and column, giving factors H/(H+1).
-    """
-    boxes = []
-    weights = []
-    nrows = len(parts)
-    candidates = [(0, parts[0])] if parts else [(0, 0)]
-    for r in range(1, nrows):
-        if parts[r] < parts[r - 1]:
-            candidates.append((r, parts[r]))
-    if parts:
-        candidates.append((nrows, 0))
-    small = len(parts) <= 12 and (not parts or parts[0] <= 12)
-    if not small:
-        parts_arr = np.asarray(parts, dtype=np.int64)
-        conj_arr = np.asarray(conj, dtype=np.int64)
-    for r, c in candidates:
-        if r >= q:  # a column of length > q admits no semistandard filling
-            continue
-        w = float(q + c - r)
-        # h below is the stretched hook (old hook + 1); each affected box
-        # contributes old/new = (h-1)/h
-        if small:
-            for col in range(c):
-                h = (parts[r] - col) + (conj[col] - r)
-                w *= (h - 1) / h
-            for row in range(r):
-                h = (parts[row] - c) + (conj[c] - row)
-                w *= (h - 1) / h
-        else:
-            if c:
-                cols = np.arange(c)
-                h = (parts_arr[r] - cols) + (conj_arr[cols] - r)
-                w *= float(np.prod((h - 1) / h))
-            if r:
-                rows = np.arange(r)
-                h = (parts_arr[rows] - c) + (conj_arr[c] - rows)
-                w *= float(np.prod((h - 1) / h))
-        boxes.append((r, c))
-        weights.append(w)
-    return boxes, weights
-
-
-def markov_sample_path(n: int, q: int, seed) -> tuple[YoungDiagram, ...]:
-    """Run the growth process ``n`` steps from the empty shape; returns the
-    whole trajectory including the empty starting shape."""
-    if n < 0 or q < 1:
-        raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
-    rng = generator(seed)
-    parts: list[int] = []
-    conj: list[int] = []
-    path = [EMPTY_DIAGRAM]
-    for _ in range(n):
-        boxes, weights = _growth_weights(parts, conj, q)
-        u = rng.random() * sum(weights)
-        idx = 0
-        acc = weights[0]
-        while acc < u and idx + 1 < len(boxes):
-            idx += 1
-            acc += weights[idx]
-        r, c = boxes[idx]
-        if r == len(parts):
-            parts.append(1)
-        else:
-            parts[r] += 1
-        if c == len(conj):
-            conj.append(1)
-        else:
-            conj[c] += 1
-        path.append(YoungDiagram(tuple(parts)))
-    return tuple(path)
-
-
-def sample_plancherel_rsk(n: int, q: int, seed) -> YoungDiagram:
-    """RSK pushforward sampler; agrees in law with the growth process."""
-    return rsk_shape(random_word(n, q, seed))
-
-
-def gamma_estimate(i: int, q: int, trials: int, seed: int) -> float:
-    """Monte Carlo mean of the first-column length at step ``i`` of the
-    growth process."""
-    from .rng import trial_stream
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    total = 0
-    for t in range(trials):
-        path = markov_sample_path(i, q, trial_stream(seed, t))
-        total += len(path[-1].parts)
-    return total / trials
-

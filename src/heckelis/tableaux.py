@@ -372,11 +372,3 @@ def antidiagonal_cells(w) -> dict[tuple[int, int], int]:
 
 def diagram_to_json(shape: YoungDiagram) -> list[int]:
     return list(shape.parts)
-
-
-def increasing_to_json(t: IncreasingTableau) -> list[list[int]]:
-    return [list(row) for row in t.rows]
-
-
-def set_valued_to_json(t: SetValuedStandardTableau) -> list[list[list[int]]]:
-    return [[sorted(s) for s in row] for row in t.rows]

@@ -152,8 +152,3 @@ def longest_element(q: int) -> Permutation:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     return Permutation(tuple(range(q + 1, 0, -1)))
-
-
-def is_ascent(p: Permutation, i: int) -> bool:
-    """Whether ``p(i) < p(i+1)`` (positions are 1-based, ``1 <= i < len(p)``)."""
-    return p.one_line[i - 1] < p.one_line[i]

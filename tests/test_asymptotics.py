@@ -11,16 +11,13 @@ from heckelis.asymptotics import (
     ShapeFunction,
     SweepConfig,
     beta,
-    check_es,
     erdos_szekeres_bound,
     line_curve,
     plancherel_curve,
-    rescale,
+    profile_function,
     round_half_up,
     shape_statistics,
-    staircase_check,
     sup_norm_distance,
-    sweep,
     sweep_at,
     trial_shapes,
     word_statistics,
@@ -28,7 +25,7 @@ from heckelis.asymptotics import (
 from heckelis.insertion import heckeshape
 from heckelis.measures import expected_lis_exact
 from heckelis.rng import trial_stream
-from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, staircase
+from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, conjugate, staircase
 from heckelis.words import Word, coxeter_length, hecke_product, lds, lis, random_word
 
 from conftest import words
@@ -72,24 +69,24 @@ class TestSweepConfig:
 
 class TestRescale:
     def test_empty_shape_is_zero(self):
-        f = rescale(EMPTY_DIAGRAM, 4, 2, SQRT_REGIME)
+        f = profile_function(conjugate(EMPTY_DIAGRAM).parts, 4, 2, SQRT_REGIME)
         assert float(f.step(0.3)[0]) == 0.0
         assert float(f.linear(0.0)[0]) == 0.0
 
     def test_staircase_close_to_line(self):
         for q in (1, 2, 5, 10, 50, 200):
-            f = rescale(staircase(q), 0, q, STAIRCASE_REGIME)
+            f = profile_function(conjugate(staircase(q)).parts, 0, q, STAIRCASE_REGIME)
             assert sup_norm_distance(f, line_curve) <= 1.0 / q
 
     def test_square_shape_corner(self):
         m = 10
-        f = rescale(YoungDiagram((m,) * m), m * m, m, SQRT_REGIME)
+        f = profile_function(conjugate(YoungDiagram((m,) * m)).parts, m * m, m, SQRT_REGIME)
         assert float(f.step(0.49)[0]) == pytest.approx(0.5)
         assert float(f.step(0.51)[0]) == 0.0
 
     def test_rejects_unknown_regime(self):
         with pytest.raises(ValueError):
-            rescale(staircase(2), 4, 2, "linear")
+            profile_function(conjugate(staircase(2)).parts, 4, 2, "linear")
 
     def test_step_form_integer_valued_at_unit_scale(self):
         f = ShapeFunction((3.0, 1.0, 1.0), 1.0)
@@ -125,7 +122,7 @@ class TestPlancherelCurve:
 
 class TestSupNorm:
     def test_function_against_itself(self):
-        f = rescale(staircase(6), 0, 6, STAIRCASE_REGIME)
+        f = profile_function(conjugate(staircase(6)).parts, 0, 6, STAIRCASE_REGIME)
         reference = lambda x: float(f.step(x)[0])
         # comparing the step form against itself leaves only the linear form
         # displacement, which is below 1/q
@@ -161,7 +158,7 @@ class TestBeta:
 class TestSweep:
     def test_unary_alphabet_row(self):
         config = SweepConfig(n=50, trials=30, seed=4, alpha=0.0)
-        res = sweep(config)
+        res = sweep_at(config.n, config.q, config.trials, config.seed)
         assert res.q == 1
         assert res.mean_lis == 1.0 and res.sigma_lis == 0.0
         assert res.mean_lds == 1.0 and res.sigma_lds == 0.0
@@ -169,7 +166,7 @@ class TestSweep:
 
     def test_matches_exact_expectation(self):
         config = SweepConfig(n=5, trials=4000, seed=8, alpha=math.log(3) / math.log(5))
-        res = sweep(config)
+        res = sweep_at(config.n, config.q, config.trials, config.seed)
         assert res.q == 3
         exact = float(expected_lis_exact(5, 3))
         sigma = res.sigma_lis / math.sqrt(config.trials)
@@ -177,8 +174,8 @@ class TestSweep:
 
     def test_deterministic_and_thread_independent(self):
         config = SweepConfig(n=60, trials=130, seed=12, k=1.0)
-        serial = sweep(config, threads=1)
-        parallel = sweep(config, threads=2)
+        serial = sweep_at(config.n, config.q, config.trials, config.seed, threads=1)
+        parallel = sweep_at(config.n, config.q, config.trials, config.seed, threads=2)
         assert serial == parallel
         profiled = sweep_at(60, config.q, 130, 12, threads=2, profile=True)
         assert profiled == sweep_at(60, config.q, 130, 12, threads=1, profile=True)
@@ -273,7 +270,7 @@ class TestErdosSzekeres:
         w = Word((2, 1, 3, 4, 2, 3, 1, 2), 4)
         assert coxeter_length(hecke_product(w)) == 8
         assert lis(w) == 3 and lds(w) == 3
-        assert check_es(w, 3, 3)
+        assert coxeter_length(hecke_product(w)) <= erdos_szekeres_bound(3, 3, 4)
 
     def test_two_sums_agree(self):
         for q in range(2, 9):
@@ -294,18 +291,20 @@ class TestErdosSzekeres:
             for n in range(0, 6):
                 for letters in product(range(1, q + 1), repeat=n):
                     w = Word(letters, q)
+                    length = coxeter_length(hecke_product(w))
                     for a in range(1, q):
                         for b in range(1, q):
-                            assert check_es(w, a, b)
+                            bound = erdos_szekeres_bound(a, b, q)
+                            assert length <= bound or lis(w) > a or lds(w) > b
 
 
 class TestStaircaseCheck:
     def test_unary_alphabet(self):
-        assert staircase_check(5, 1, 20, 3) == 1.0
+        assert sweep_at(5, 1, 20, 3).staircase_fraction == 1.0
 
     def test_small_subcritical_case(self):
         # alphabet 2 with plenty of letters: the staircase dominates
-        frac = staircase_check(64, 2, 200, 9)
+        frac = sweep_at(64, 2, 200, 9).staircase_fraction
         assert frac >= 0.95
 
 
@@ -314,7 +313,8 @@ class TestLargeSubcriticalBand:
     def test_lis_pins_to_alphabet_at_reduced_trials(self):
         # the 50k-letter row at exponent 0.45: every sample's LIS equals
         # q = 130 and the deviation vanishes (band check at 3 trials)
-        res = sweep(SweepConfig(n=50_000, trials=3, seed=130, alpha=0.45))
+        config = SweepConfig(n=50_000, trials=3, seed=130, alpha=0.45)
+        res = sweep_at(config.n, config.q, config.trials, config.seed)
         assert res.q == 130
         assert res.mean_lis == 130.0
         assert res.sigma_lis == 0.0

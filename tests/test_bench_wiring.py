@@ -1,6 +1,7 @@
-"""The traced benchmark (``bench/tracing.py``) wraps package functions by
-name.  These tests read its name lists without importing or editing it, so
-a rename in the package cannot silently drop a span from the benchmark."""
+"""The benchmark (``bench/``) imports package names and the traced run
+(``bench/tracing.py``) wraps package functions by name.  These tests read
+the benchmark's sources without importing or editing them, so a rename in
+the package cannot silently break the benchmark or drop a span from it."""
 
 import ast
 import importlib
@@ -8,7 +9,8 @@ from pathlib import Path
 
 from heckelis.verification import ALL_SUITES
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def tracing_constant(name: str):
@@ -29,3 +31,18 @@ def test_every_wrapped_function_exists():
 def test_every_traced_suite_runs_in_verify():
     suites = {suite.__name__ for suite in ALL_SUITES}
     assert set(tracing_constant("SUITES")) <= suites
+
+
+def test_every_imported_name_exists():
+    imports = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "heckelis"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "heckelis":
+                imports += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imports, "the benchmark imports nothing from heckelis"
+    for source, module, name in imports:
+        target = importlib.import_module(module)
+        assert name is None or hasattr(target, name), f"{source}: {module}.{name} is gone"

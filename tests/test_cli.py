@@ -245,6 +245,24 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: sampling failed\n"
         assert list(tmp_path.iterdir()) == []
 
+        # a manifest that cannot be written takes its data files with it
+        monkeypatch.undo()
+        monkeypatch.chdir(tmp_path)
+        for args, out in [
+            (["sample", "--n", "5", "--q", "3", "--trials", "2", "--seed", "1"], "s.csv"),
+            (["exact", "--n", "3", "--q", "2"], "e.json"),
+            (["sweep", "--n", "5", "--alpha-grid", "1.0", "--trials", "2"], "w.csv"),
+            (["curve", "--n", "5", "--q", "3", "--trials", "2"], "c.csv"),
+            (["patience", "--ranks", "3", "--copies", "2", "--trials", "2"], "deck"),
+        ]:
+            blocker = tmp_path / f"{out}.manifest.json"
+            blocker.mkdir()
+            assert run_cli(args + ["--out", out]) == 2, args[0]
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == [blocker], args[0]
+            blocker.rmdir()
+
     @pytest.mark.parametrize(
         "args, option",
         [

@@ -9,7 +9,6 @@ from heckelis.insertion import (
     hecke_insert,
     hecke_inverse,
     heckeshape,
-    pair_to_json,
     reverse_hecke,
     rsk_shape,
     schensted_shape,
@@ -295,16 +294,6 @@ class TestMirrorSymmetry:
         shape = heckeshape(Word((2, 1, 2, 3, 2), 3))
         assert shape == YoungDiagram((3, 2))
         assert shape != YoungDiagram((3, 1, 1))
-
-
-class TestPairSerialization:
-    def test_json_layout(self):
-        pair = hecke(Word((2, 1, 2), 2))
-        assert pair_to_json(pair) == {
-            "shape": [2, 1],
-            "p": [[1, 2], [2]],
-            "q": [[[1], [3]], [[2]]],
-        }
 
 
 class TestRskBaselines:

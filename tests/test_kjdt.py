@@ -266,8 +266,9 @@ class TestKInfusion:
             k_infusion(WORKED_INNER, WORKED_OUTER, sequence=seq)
 
     def test_rejects_overlapping_regions(self):
-        with pytest.raises(ValueError):
-            k_infusion(WORKED_INNER, {(1, 1): 5})
+        for plain in ({(1, 1): 5}, {(1, 3): 1}, {(1, 2): 1, (1, 3): 2}):
+            with pytest.raises(ValueError, match="overlap"):
+                k_infusion(WORKED_INNER, plain)
 
 
 def oracle_infusion(inner, plain, sequence):

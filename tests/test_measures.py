@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -10,13 +11,9 @@ from heckelis.measures import (
     ExactModeGuardError,
     exact_plancherel_hecke,
     expected_lis_exact,
-    gamma_estimate,
-    markov_sample_path,
     markov_transition,
-    plancherel_prob,
     plancherel_rsk_prob,
     prob_lis_exact,
-    sample_plancherel_rsk,
 )
 from heckelis.rng import trial_stream
 from heckelis.tableaux import (
@@ -25,10 +22,24 @@ from heckelis.tableaux import (
     add_corner,
     addable_corners,
     conjugate,
+    count_standard,
 )
 from heckelis.words import Word, lds, lis, random_word
 
 from oracles import all_partitions
+
+
+def plancherel_weight(shape: YoungDiagram):
+    """Classical Plancherel weight: squared standard count over ``|shape|!``."""
+    return Fraction(count_standard(shape) ** 2, factorial(shape.size))
+
+
+def rsk_path(n: int, q: int, seed):
+    """RSK shapes of the prefixes of a uniform word: a growth-process path,
+    empty shape first."""
+    w = random_word(n, q, seed)
+    return [rsk_shape(Word(w.letters[:i], q)) for i in range(n + 1)]
+
 
 # the nine-shape exact table for four letters over a three-letter alphabet:
 # increasing-count, set-valued-count pairs as displayed in the worked example
@@ -199,14 +210,12 @@ class TestRskMeasure:
                 assert total == 1
 
     def test_single_box(self):
-        assert plancherel_prob(YoungDiagram((1,)), 1) == 1
+        assert plancherel_weight(YoungDiagram((1,))) == 1
         assert plancherel_rsk_prob(YoungDiagram((1,)), 1, 3) == 1
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             plancherel_rsk_prob(YoungDiagram((2,)), 3, 2)
-        with pytest.raises(ValueError):
-            plancherel_prob(YoungDiagram((2,)), 3)
 
     def test_three_two_matches_rsk_pushforward(self):
         tally = {}
@@ -220,7 +229,7 @@ class TestRskMeasure:
         # for n <= q the permutation-support part: just check normalization
         total = sum(
             (
-                plancherel_prob(YoungDiagram(parts), 5)
+                plancherel_weight(YoungDiagram(parts))
                 for parts in all_partitions(5)
                 if sum(parts) == 5
             ),
@@ -276,62 +285,30 @@ class TestGrowthProcess:
 
     def test_path_starts_with_single_box(self):
         for seed in range(5):
-            path = markov_sample_path(3, 4, seed)
+            path = rsk_path(3, 4, seed)
             assert path[0] == EMPTY_DIAGRAM
             assert path[1] == YoungDiagram((1,))
             assert all(path[i + 1].size == i + 1 for i in range(3))
 
     def test_path_never_exceeds_alphabet_rows(self):
         for seed in range(5):
-            path = markov_sample_path(30, 3, seed)
+            path = rsk_path(30, 3, seed)
             assert all(len(s.parts) <= 3 for s in path)
-
-    @pytest.mark.slow
-    def test_empirical_step_distribution(self):
-        # growth-process law at four boxes vs the exact measure, 3 sigma
-        trials, n, q = 100_000, 4, 3
-        tally = {}
-        for t in range(trials):
-            shape = markov_sample_path(n, q, trial_stream(61, t))[-1]
-            tally[shape] = tally.get(shape, 0) + 1
-        for parts in all_partitions(4):
-            if sum(parts) != 4 or len(parts) > q:
-                continue
-            shape = YoungDiagram(parts)
-            p = float(plancherel_rsk_prob(shape, n, q))
-            sigma = (trials * p * (1 - p)) ** 0.5
-            assert abs(tally.get(shape, 0) - trials * p) <= 3 * sigma, shape
-
-    @pytest.mark.slow
-    def test_growth_and_rsk_samplers_agree(self):
-        # the two sampling routes target the same law; compare their counts
-        # of the modal shape with a two-sample 3 sigma band
-        trials, n, q = 30_000, 5, 2
-        modal = YoungDiagram((3, 2))
-        a = sum(
-            markov_sample_path(n, q, trial_stream(71, t))[-1] == modal
-            for t in range(trials)
-        )
-        b = sum(
-            sample_plancherel_rsk(n, q, trial_stream(72, t)) == modal
-            for t in range(trials)
-        )
-        p = float(plancherel_rsk_prob(modal, n, q))
-        sigma = (2 * trials * p * (1 - p)) ** 0.5
-        assert abs(a - b) <= 3 * sigma
 
 
 class TestGammaEstimate:
+    # gamma is the mean first-column length of the RSK growth process after
+    # n steps; that column is the LDS of the word, so sweep_at's mean_lds
+    # estimates it
     def test_step_one_is_single_box(self):
-        assert gamma_estimate(1, 5, trials=4, seed=2) == 1.0
+        assert sweep_at(1, 5, trials=4, seed=2).mean_lds == 1.0
 
     def test_bounded_by_alphabet(self):
-        assert gamma_estimate(40, 3, trials=5, seed=3) <= 3
+        assert sweep_at(40, 3, trials=5, seed=3).mean_lds <= 3
 
-    @pytest.mark.slow
     def test_first_column_bound_above_critical(self):
         # alphabet twice the square root of the step count: the mean first
         # column must sit below (2 - 1/2) sqrt(n) + 1 = 76
-        estimate = gamma_estimate(2500, 100, trials=6, seed=5)
+        estimate = sweep_at(2500, 100, trials=6, seed=5).mean_lds
         assert estimate <= 76.0
         assert estimate >= 25.0  # sanity: far above trivial lower bounds

@@ -22,11 +22,9 @@ from heckelis.tableaux import (
     count_standard,
     diagram_to_json,
     hooks,
-    increasing_to_json,
     partitions_in_staircase,
     reading_word,
     set_valued_counts,
-    set_valued_to_json,
     staircase,
     superstandard,
 )
@@ -286,11 +284,3 @@ class TestDistinguishedFillings:
 class TestSerialization:
     def test_diagram(self):
         assert diagram_to_json(YoungDiagram((3, 1))) == [3, 1]
-
-    def test_increasing(self):
-        t = IncreasingTableau(((1, 2), (2,)))
-        assert increasing_to_json(t) == [[1, 2], [2]]
-
-    def test_set_valued_sorted(self):
-        t = SetValuedStandardTableau(((frozenset({1}), frozenset({3, 2})),), 3)
-        assert set_valued_to_json(t) == [[[1], [2, 3]]]

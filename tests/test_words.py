@@ -10,7 +10,6 @@ from heckelis.words import (
     Word,
     coxeter_length,
     hecke_product,
-    is_ascent,
     lds,
     lis,
     lis_end_positions,
@@ -207,7 +206,7 @@ class TestHeckeProduct:
         before = hecke_product(w)
         after = hecke_product(Word(w.letters + (x,), w.alphabet_size))
         delta = coxeter_length(after) - coxeter_length(before)
-        assert delta == (1 if is_ascent(before, x) else 0)
+        assert delta == (1 if before.one_line[x - 1] < before.one_line[x] else 0)
 
 
 class TestCoxeterLength:
