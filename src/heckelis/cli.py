@@ -56,20 +56,26 @@ USAGE_ERROR = 2
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV, "12345")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV} must be >= 0, got {raw!r}")
+    return seed
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """Argument type: an integer of at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _write_atomic(path: str, write) -> None:
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_at_least(0), default=_default_seed())
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -280,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", type=float, nargs="*", default=None)
     p.add_argument("--k-grid", type=float, nargs="*", default=None)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--seed", type=_at_least(0), default=_default_seed())
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
     # recorded in the header and the manifest only; sweep writes no shapes
     p.add_argument("--snapshots", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -291,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
-    p.add_argument("--grid-points", type=_positive_int, default=400)
+    p.add_argument("--seed", type=_at_least(0), default=_default_seed())
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--grid-points", type=_at_least(1), default=400)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)
 
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, required=True)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_at_least(0), default=_default_seed())
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_patience)
 

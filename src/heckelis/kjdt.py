@@ -31,6 +31,7 @@ standard one respecting both per-row orders) computes the same result.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from operator import index
 
@@ -146,21 +147,23 @@ def is_viable(seq, p: int, q: int) -> bool:
 
 def random_viable_sequence(p: int, q: int, seed) -> SwitchSequence:
     """Uniformly random linear extension step: at each point pick one of the
-    currently emittable pairs."""
+    currently emittable pairs.  The ready inner labels are kept sorted;
+    emitting (i, j) can make only i (now at j + 1) and i - 1 ready."""
     rng = generator(seed)
     next_j = {i: 1 for i in range(1, p + 1)}
     next_i = {j: p for j in range(1, q + 1)}
+    ready = [p]  # (p, 1) comes first
     out = []
     for _ in range(p * q):
-        ready = [
-            (i, next_j[i])
-            for i in range(1, p + 1)
-            if next_j[i] <= q and next_i[next_j[i]] == i
-        ]
-        i, j = ready[int(rng.integers(len(ready)))]
+        i = ready.pop(int(rng.integers(len(ready))))
+        j = next_j[i]
         out.append((i, j))
         next_j[i] += 1
         next_i[j] -= 1
+        if j < q and next_i[j + 1] == i:
+            insort(ready, i)
+        if i > 1 and next_j[i - 1] == j:
+            insort(ready, i - 1)
     return tuple(out)
 
 

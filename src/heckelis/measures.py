@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .tableaux import (
     YoungDiagram,
-    count_increasing,
     count_semistandard,
     count_standard,
     diagram_to_json,
+    increasing_counts,
     partitions_in_staircase,
     set_valued_counts,
     staircase,
@@ -80,9 +80,10 @@ def plancherel_hecke_weights(n: int, q: int):
     ``min(n, q(q+1)/2)`` boxes.  The weight is the increasing-tableau count
     times the standard set-valued count: the number of length-``n`` words
     over ``{1..q}`` with that insertion shape, so the weights sum to ``q^n``."""
+    increasing = increasing_counts(staircase(q), q)
     set_valued = set_valued_counts(staircase(q), n)
     for shape in partitions_in_staircase(q, min(n, q * (q + 1) // 2)):
-        yield shape, count_increasing(shape, q) * set_valued.get(shape.parts, 0)
+        yield shape, increasing[shape.parts] * set_valued.get(shape.parts, 0)
 
 
 def exact_plancherel_hecke(n: int, q: int) -> ExactDistribution:

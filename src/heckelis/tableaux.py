@@ -3,13 +3,17 @@
 Counts provided here:
 
 * ``count_increasing(shape, q)``: strictly increasing fillings with entries
-  at most ``q`` (memoized row-by-row backtracking; no product formula is
-  known, and large prime factors in small cases suggest none exists).
+  at most ``q``, by a dynamic program over the values (``increasing_counts``
+  gives every subshape of a bound in one pass; no product formula is known,
+  and large prime factors in small cases suggest none exists).
 * ``count_set_valued_standard(shape, n)``: standard set-valued fillings on
   the labels ``1..n``, by a dynamic program over the labels
   (``set_valued_counts`` gives every subshape of a bound in one pass).
 * ``count_standard(shape)``: hook-length formula.
 * ``count_semistandard(shape, q)``: hook-content formula.
+
+Both dynamic programs, ``partitions_in_staircase`` and the corner helpers
+grow shapes by one step of Young's lattice, ``_growths``.
 
 All counting is exact integer or rational arithmetic; no floats appear in
 any enumeration path.  Boxes are addressed (row, column), 1-based, English
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from operator import index, le, lt
 
@@ -83,28 +86,27 @@ def corners(shape: YoungDiagram) -> list[tuple[int, int]]:
     return out
 
 
+def _growths(mu: tuple[int, ...], bound: tuple[int, ...] | None = None):
+    """Each box that can be added to the parts tuple ``mu`` leaving a
+    partition, inside the parts tuple ``bound`` if given: pairs of the box's
+    0-based row and the grown parts tuple, top row first."""
+    rows = len(mu) + 1 if bound is None else min(len(mu) + 1, len(bound))
+    for r in range(rows):
+        width = mu[r] if r < len(mu) else 0
+        if (r == 0 or mu[r - 1] > width) and (bound is None or width < bound[r]):
+            yield r, mu[:r] + (width + 1,) + mu[r + 1 :]
+
+
 def addable_corners(shape: YoungDiagram) -> list[tuple[int, int]]:
     """Boxes whose addition leaves a Young diagram, 1-based (row, col)."""
-    parts = shape.parts
-    out = [(1, parts[0] + 1)] if parts else [(1, 1)]
-    for r in range(1, len(parts)):
-        if parts[r] < parts[r - 1]:
-            out.append((r + 1, parts[r] + 1))
-    if parts:
-        out.append((len(parts) + 1, 1))
-    return out
+    return [(r + 1, nu[r]) for r, nu in _growths(shape.parts)]
 
 
 def add_corner(shape: YoungDiagram, corner: tuple[int, int]) -> YoungDiagram:
-    r, c = corner
-    if corner not in addable_corners(shape):
-        raise ValueError(f"cannot add box {corner} to {shape.parts}")
-    parts = list(shape.parts)
-    if r == len(parts) + 1:
-        parts.append(1)
-    else:
-        parts[r - 1] += 1
-    return YoungDiagram(tuple(parts))
+    for r, nu in _growths(shape.parts):
+        if (r + 1, nu[r]) == corner:
+            return YoungDiagram(nu)
+    raise ValueError(f"cannot add box {corner} to {shape.parts}")
 
 
 def staircase(q: int) -> YoungDiagram:
@@ -117,20 +119,13 @@ def staircase(q: int) -> YoungDiagram:
 def partitions_in_staircase(q: int, max_size: int):
     """All partitions contained in ``staircase(q)`` with at most ``max_size``
     boxes, in lexicographic order on the parts tuples."""
-    found: list[YoungDiagram] = []
-
-    def extend(prefix: list[int], row: int, used: int):
-        found.append(YoungDiagram(tuple(prefix)))
-        if row > q:
-            return
-        cap = min(q - row + 1, prefix[-1] if prefix else q, max_size - used)
-        for p in range(1, cap + 1):
-            prefix.append(p)
-            extend(prefix, row + 1, used + p)
-            prefix.pop()
-
-    extend([], 1, 0)
-    return sorted(found, key=lambda d: d.parts)
+    bound = staircase(q).parts
+    level = {()}
+    found = [()]
+    for _ in range(min(max_size, q * (q + 1) // 2)):
+        level = {nu for mu in level for _, nu in _growths(mu, bound)}
+        found.extend(level)
+    return [YoungDiagram(parts) for parts in sorted(found)]
 
 
 def _check_filling(rows, row_ok, col_ok) -> None:
@@ -222,47 +217,41 @@ class SemistandardTableau:
         return YoungDiagram(tuple(len(r) for r in self.rows))
 
 
-def count_increasing(shape: YoungDiagram, q: int) -> int:
-    """Number of increasing tableaux of ``shape`` with entries at most ``q``.
+def increasing_counts(bound: YoungDiagram, q: int) -> dict[tuple[int, ...], int]:
+    """Number of increasing tableaux with entries at most ``q`` of every
+    subshape of ``bound``, keyed by its parts; shapes with none are left out.
 
-    Row-major backtracking: each row is filled left to right with entries
-    strictly greater than the left and upper neighbours, pruned when the
-    remaining cells of the row can no longer fit below ``q``.  Completed
-    rows are memoized, keyed by the filled row, since the continuation
-    count depends only on it.
+    Dynamic program over the values 1..q in increasing order: the boxes
+    holding value v lie in distinct rows and columns, each with its left and
+    upper neighbours already filled, so they form any subset of the addable
+    boxes of the shape filled so far, the empty subset included.  A subset
+    is grown one box at a time, each box in a higher row than the last, so
+    the bound is cut to the rows above the last box; a box never changes
+    which rows above it can grow.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    parts = shape.parts
-    if not parts:
-        return 1
-    if len(parts) > q or parts[0] > q:
-        return 0
+    counts = {(): 1}
+    for _ in range(q):
+        grown = dict(counts)
+        stack = [(mu, k, bound.parts) for mu, k in counts.items()]
+        while stack:
+            mu, k, above = stack.pop()
+            for r, nu in _growths(mu, above):
+                grown[nu] = grown.get(nu, 0) + k
+                if r:
+                    stack.append((nu, k, above[:r]))
+        counts = grown
+    return counts
 
-    @lru_cache(maxsize=None)
-    def complete(r: int, above: tuple[int, ...]) -> int:
-        if r == len(parts):
-            return 1
-        width = parts[r]
-        total = 0
-        row = [0] * width
 
-        def fill(c: int):
-            nonlocal total
-            if c == width:
-                total += complete(r + 1, tuple(row))
-                return
-            lo = 1 if c == 0 else row[c - 1] + 1
-            if above:
-                lo = max(lo, above[c] + 1)
-            for v in range(lo, q - (width - 1 - c) + 1):
-                row[c] = v
-                fill(c + 1)
-
-        fill(0)
-        return total
-
-    return complete(0, ())
+def count_increasing(shape: YoungDiagram, q: int) -> int:
+    """Number of increasing tableaux of ``shape`` with entries at most ``q``;
+    a filling transposes to one of the conjugate shape, so the table is
+    built over whichever of the two has fewer rows (shorter keys)."""
+    if shape.parts and len(shape.parts) > shape.parts[0]:
+        shape = conjugate(shape)
+    return increasing_counts(shape, q).get(shape.parts, 0)
 
 
 def set_valued_counts(bound: YoungDiagram, n: int) -> dict[tuple[int, ...], int]:
@@ -285,11 +274,8 @@ def set_valued_counts(bound: YoungDiagram, n: int) -> dict[tuple[int, ...], int]
             if mu:
                 grown[mu] = grown.get(mu, 0) + len(set(mu)) * k
             # ... or sits alone in a box of the bound that extends mu
-            for r in range(min(len(mu) + 1, len(parts))):
-                width = mu[r] if r < len(mu) else 0
-                if width < parts[r] and (r == 0 or mu[r - 1] > width):
-                    nu = mu[:r] + (width + 1,) + mu[r + 1 :]
-                    grown[nu] = grown.get(nu, 0) + k
+            for _, nu in _growths(mu, parts):
+                grown[nu] = grown.get(nu, 0) + k
         counts = grown
     return counts
 

@@ -2,12 +2,15 @@
 
 Everything here enumerates rather than computes: subsequences for LIS/LDS,
 full fillings for the tableau counts, every cell of a mixed tableau for a
-switch.  None of it touches the package's dynamic programs, product
-formulas, insertion code or label index, so these functions can sit on the
-other side of every two-route check.
+switch, every inner label for a viable switch sequence.  None of it
+touches the package's dynamic programs, product formulas, insertion code
+or label index, so these functions can sit on the other side of every
+two-route check.
 """
 
 from itertools import combinations, product
+
+from heckelis.rng import generator
 
 
 def brute_lis(letters) -> int:
@@ -184,3 +187,24 @@ def brute_switch(cells, i, j):
             return None
         seen.update({("row", r, v), ("col", c, v)})
     return out
+
+
+def scan_viable_sequence(p, q, seed):
+    """Random viable switch sequence drawn like
+    ``kjdt.random_viable_sequence``, but rescanning every inner label for
+    the ready pairs at each step."""
+    rng = generator(seed)
+    next_j = {i: 1 for i in range(1, p + 1)}
+    next_i = {j: p for j in range(1, q + 1)}
+    out = []
+    for _ in range(p * q):
+        ready = [
+            (i, next_j[i])
+            for i in range(1, p + 1)
+            if next_j[i] <= q and next_i[next_j[i]] == i
+        ]
+        i, j = ready[int(rng.integers(len(ready)))]
+        out.append((i, j))
+        next_j[i] += 1
+        next_i[j] -= 1
+    return tuple(out)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,17 @@ from heckelis.tableaux import YoungDiagram
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+# one invocation of each subcommand, for checks that fail before any work
+EVERY_SUBCOMMAND = [
+    ["verify"],
+    ["exact", "--n", "2", "--q", "2"],
+    ["sample", "--n", "2", "--q", "2", "--trials", "1", "--out", "x"],
+    ["sweep", "--n", "2", "--alpha-grid", "1.0", "--trials", "1", "--out", "x"],
+    ["curve", "--n", "2", "--q", "2", "--trials", "1", "--out", "x"],
+    ["patience", "--ranks", "2", "--copies", "1", "--trials", "1", "--out", "x"],
+]
 
 
 class TestVerify:
@@ -51,6 +63,17 @@ class TestExact:
         assert by_shape[(2, 1)] == {"shape": [2, 1], "num": "40", "den": "81"}
         e = payload["expected_lis"]
         assert Fraction(int(e["num"]), int(e["den"])) == Fraction(52, 27)
+
+    @pytest.mark.parametrize(
+        "n, q, digest",
+        [
+            (10, 5, "214eae977922b27fb857473cd4f8f1264ff0f4c7be47b8503e7b10e58b8975af"),
+            (4, 3, "af9da3460a1ad62287a5a6688400a2d0996360b4ba1cea71867fdb50fa45befb"),
+        ],
+    )
+    def test_stdout_bytes_pinned(self, n, q, digest, capsys):
+        assert run_cli(["exact", "--n", n, "--q", q]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_output_file_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "dist.json"
@@ -264,6 +287,23 @@ class TestUsageErrors:
             blocker.rmdir()
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--n", "3", "--q", "2", "--trials", "1"],
+            ["sweep", "--n", "10", "--alpha-grid", "1.0", "--trials", "2"],
+            ["curve", "--n", "10", "--q", "4", "--trials", "2"],
+            ["patience", "--ranks", "3", "--copies", "2", "--trials", "2"],
+        ],
+        ids=["sample", "sweep", "curve", "patience"],
+    )
+    def test_negative_seed_rejected_at_parse(self, args, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--seed", "-1", "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "args, option",
         [
             (["sweep", "--n", "10", "--alpha-grid", "1.0", "--trials", "2"], "--threads"),
@@ -301,22 +341,22 @@ class TestSeedEnvOverride:
             f"child exited {env_out.returncode}; stderr:\n{env_out.stderr}"
         )
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["verify"],
-            ["exact", "--n", "2", "--q", "2"],
-            ["sample", "--n", "2", "--q", "2", "--trials", "1", "--out", "x"],
-            ["sweep", "--n", "2", "--alpha-grid", "1.0", "--trials", "1", "--out", "x"],
-            ["curve", "--n", "2", "--q", "2", "--trials", "1", "--out", "x"],
-            ["patience", "--ranks", "2", "--copies", "1", "--trials", "1", "--out", "x"],
-        ],
-    )
+    @pytest.mark.parametrize("args", EVERY_SUBCOMMAND)
     def test_bad_value_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HECKELIS_SEED", "abc")
         monkeypatch.chdir(tmp_path)
         assert run_cli(args) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: HECKELIS_SEED must be an integer, got 'abc'\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", EVERY_SUBCOMMAND)
+    def test_negative_value_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HECKELIS_SEED", "-3")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: HECKELIS_SEED must be >= 0, got '-3'\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []

@@ -18,7 +18,7 @@ from heckelis.tableaux import IncreasingTableau, antidiagonal_cells, staircase, 
 from heckelis.words import Word
 
 from conftest import words
-from oracles import brute_switch
+from oracles import brute_switch, scan_viable_sequence
 
 
 def dump(t: MixedTableau) -> str:
@@ -215,6 +215,13 @@ class TestSequences:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
     def test_random_sequences_viable(self, p, q, seed):
         assert is_viable(random_viable_sequence(p, q, seed), p, q)
+
+    def test_random_sequences_match_full_scan(self):
+        # the sorted ready list draws the same pair as a rescan of every label
+        for p in range(0, 16):
+            for q in range(0, 6):
+                for seed in range(40):
+                    assert random_viable_sequence(p, q, seed) == scan_viable_sequence(p, q, seed)
 
 
 WORKED_INNER = IncreasingTableau(((1, 2, 3),))

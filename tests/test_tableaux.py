@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from heckelis.tableaux import (
     SemistandardTableau,
     SetValuedStandardTableau,
     YoungDiagram,
+    add_corner,
+    addable_corners,
     antidiagonal_cells,
     conjugate,
     corners,
@@ -22,6 +24,7 @@ from heckelis.tableaux import (
     count_standard,
     diagram_to_json,
     hooks,
+    increasing_counts,
     partitions_in_staircase,
     reading_word,
     set_valued_counts,
@@ -68,6 +71,28 @@ class TestDiagramBasics:
         assert [s.parts for s in shapes] == sorted(s.parts for s in shapes)
         assert YoungDiagram((2, 2)) in shapes
         assert all(staircase(3).contains(s) for s in shapes)
+
+    def test_partitions_in_staircase_against_enumeration(self):
+        for q in range(0, 6):
+            for m in range(0, 9):
+                want = [p for p in all_partitions(m) if staircase(q).contains(YoungDiagram(p))]
+                assert [s.parts for s in partitions_in_staircase(q, m)] == want
+
+    def test_addable_corners_against_definition(self):
+        # a box is addable when the rows with it added still weakly decrease
+        for parts in all_partitions(7):
+            shape = YoungDiagram(parts)
+            want = {}
+            for r in range(len(parts) + 1):
+                grown = list(parts) + [0]
+                grown[r] += 1
+                if all(a >= b for a, b in zip(grown, grown[1:])):
+                    want[r + 1, grown[r]] = YoungDiagram(tuple(x for x in grown if x))
+            assert addable_corners(shape) == list(want)
+            for box, grown_shape in want.items():
+                assert add_corner(shape, box) == grown_shape
+            with pytest.raises(ValueError):
+                add_corner(shape, (len(parts) + 2, 1))
 
 
 class TestTableauValidators:
@@ -147,6 +172,24 @@ class TestCountIncreasing:
         for q in range(1, 5):
             for parts in all_partitions(6):
                 assert count_increasing(YoungDiagram(parts), q) == brute_count_increasing(parts, q)
+
+    def test_long_row_and_column(self):
+        # one step per value, no recursion: a row-by-row recursion overflowed
+        # the stack on 1000 rows or 1000 columns
+        assert count_increasing(YoungDiagram((1000,)), 1000) == 1
+        assert count_increasing(YoungDiagram((1,) * 1000), 1000) == 1
+
+    def test_single_row_is_a_binomial(self):
+        assert count_increasing(YoungDiagram((6,)), 60) == comb(60, 6) == 50063860
+
+    def test_table_over_a_bound_against_enumeration(self):
+        # one pass gives every subshape of the bound; zero counts are left out
+        for q in range(1, 5):
+            table = increasing_counts(staircase(4), q)
+            for shape in partitions_in_staircase(4, 10):
+                count = brute_count_increasing(shape.parts, q)
+                assert table.get(shape.parts, 0) == count
+                assert (shape.parts in table) == (count > 0)
 
 
 class TestCountSetValued:
