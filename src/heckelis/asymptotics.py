@@ -254,37 +254,41 @@ def profile_function(mean_profile, n: int, q: int, regime: str) -> ShapeFunction
     return ShapeFunction(tuple(float(v) for v in mean_profile), scale)
 
 
-def _curve_x(theta: float) -> float:
-    return math.sin(theta) / math.pi - theta * math.cos(theta) / math.pi + math.cos(theta)
+def _nonnegative(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if (xs < 0).any():
+        raise ValueError(f"curve is defined on x >= 0, got {x}")
+    return xs
 
 
-def _curve_y(theta: float) -> float:
-    return (math.sin(theta) - theta * math.cos(theta)) / math.pi
+def _scalar_or_array(ys: np.ndarray):
+    return float(ys) if ys.ndim == 0 else ys
 
 
-def plancherel_curve(x: float) -> float:
+def plancherel_curve(x):
     """The parametric limit curve ``x = y + cos t``,
     ``y = (sin t - t cos t) / pi`` for ``0 <= t <= pi``, inverted by
-    bisection (``x`` is monotone in ``t``); identically 0 from 1 on."""
-    if x < 0:
-        raise ValueError(f"curve is defined on x >= 0, got {x}")
-    if x >= 1.0:
-        return 0.0
-    lo, hi = 0.0, math.pi
+    bisection (``x`` is monotone in ``t``); identically 0 from 1 on.
+
+    ``x`` is a number (a float comes back) or an array, bisected all at
+    once; a negative entry raises ``ValueError``."""
+    xs = _nonnegative(x)
+    lo, hi = np.zeros_like(xs), np.full_like(xs, math.pi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _curve_x(mid) > x:
-            lo = mid
-        else:
-            hi = mid
-    return _curve_y(0.5 * (lo + hi))
+        above = np.sin(mid) / np.pi - mid * np.cos(mid) / np.pi + np.cos(mid) > xs
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    t = 0.5 * (lo + hi)
+    ys = (np.sin(t) - t * np.cos(t)) / np.pi
+    return _scalar_or_array(np.where(xs >= 1.0, 0.0, ys))
 
 
-def line_curve(x: float) -> float:
-    """The staircase limit: ``1 - x`` on the unit interval, then 0."""
-    if x < 0:
-        raise ValueError(f"curve is defined on x >= 0, got {x}")
-    return 1.0 - x if x < 1.0 else 0.0
+def line_curve(x):
+    """The staircase limit: ``1 - x`` on the unit interval, then 0.  Takes
+    a number or an array, like ``plancherel_curve``."""
+    xs = _nonnegative(x)
+    return _scalar_or_array(np.where(xs < 1.0, 1.0 - xs, 0.0))
 
 
 def sup_norm_distance(f: ShapeFunction, curve, grid_points: int = 10**4) -> float:
@@ -299,7 +303,7 @@ def sup_norm_distance(f: ShapeFunction, curve, grid_points: int = 10**4) -> floa
     hi = max(f.max_support, 1.0)
     xs = np.concatenate([np.linspace(0.0, hi, grid_points), f.breakpoints()])
     xs = xs[xs <= hi + 1e-12]
-    ref = np.asarray([curve(float(x)) for x in xs])
+    ref = curve(xs)
     diff_step = np.abs(f.step(xs) - ref)
     diff_lin = np.abs(f.linear(xs) - ref)
     return float(max(diff_step.max(), diff_lin.max()))

@@ -35,6 +35,7 @@ from .asymptotics import (
     SQRT_REGIME,
     STAIRCASE_REGIME,
     SweepConfig,
+    _check_sizes,
     line_curve,
     plancherel_curve,
     profile_function,
@@ -216,17 +217,16 @@ def cmd_sweep(args) -> int:
 def cmd_curve(args) -> int:
     # alphabet at or above sqrt(n) puts the shape in the sqrt scaling regime
     regime = SQRT_REGIME if args.q * args.q >= args.n else STAIRCASE_REGIME
-    profile_function((), args.n, args.q, regime)  # a zero scale fails before sampling
+    # bad sizes, then a zero scale, fail before sampling
+    _check_sizes(args.n, args.q, args.trials)
+    profile_function((), args.n, args.q, regime)
     res = sweep_at(args.n, args.q, args.trials, args.seed, threads=args.threads, profile=True)
     fhat = profile_function(res.mean_profile, args.n, args.q, regime)
     params = {"n": args.n, "q": args.q, "trials": args.trials, "regime": regime}
     grid_hi = max(fhat.max_support, 1.0)
-    points = args.grid_points
-    rows = []
-    for i in range(points + 1):
-        x = grid_hi * i / points
-        rows.append([_fmt(x), _fmt(float(fhat.linear(x)[0])),
-                     _fmt(plancherel_curve(x)), _fmt(line_curve(x))])
+    xs = [grid_hi * i / args.grid_points for i in range(args.grid_points + 1)]
+    columns = (fhat.linear(xs), plancherel_curve(xs), line_curve(xs))
+    rows = [list(map(_fmt, row)) for row in zip(xs, *(c.tolist() for c in columns))]
     dist_curve = sup_norm_distance(fhat, plancherel_curve)
     dist_line = sup_norm_distance(fhat, line_curve)
     # the distances go to the manifest only, not to the CSV parameter line

@@ -116,10 +116,18 @@ def hecke(w: Word) -> HeckePair:
 
 
 def heckeshape(w: Word) -> YoungDiagram:
-    """Shape of the insertion tableau of ``w``; skips building Q entirely."""
+    """Shape of the insertion tableau of ``w``; skips building Q entirely.
+
+    An increasing tableau over ``{1..q}`` fits inside staircase(q) and a
+    shape never shrinks, so once the flag-1 steps have added its q(q+1)/2
+    boxes the shape is final and the rest of the word is not inserted."""
     rows: list[list[int]] = []
+    q = w.alphabet_size
+    missing = q * (q + 1) // 2
     for x in w.letters:
-        _insert(rows, x)
+        missing -= _insert(rows, x)[2]
+        if not missing:
+            break
     return YoungDiagram(tuple(len(row) for row in rows))
 
 

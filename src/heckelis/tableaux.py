@@ -89,12 +89,15 @@ def corners(shape: YoungDiagram) -> list[tuple[int, int]]:
 def _growths(mu: tuple[int, ...], bound: tuple[int, ...] | None = None):
     """Each box that can be added to the parts tuple ``mu`` leaving a
     partition, inside the parts tuple ``bound`` if given: pairs of the box's
-    0-based row and the grown parts tuple, top row first."""
+    0-based row and the grown parts tuple, top row first.  Only the top row
+    of each run of equal parts can take a box, so the runs are stepped over."""
     rows = len(mu) + 1 if bound is None else min(len(mu) + 1, len(bound))
-    for r in range(rows):
+    r = 0
+    while r < rows:
         width = mu[r] if r < len(mu) else 0
-        if (r == 0 or mu[r - 1] > width) and (bound is None or width < bound[r]):
+        if bound is None or width < bound[r]:
             yield r, mu[:r] + (width + 1,) + mu[r + 1 :]
+        r += mu.count(width) if width else 1
 
 
 def addable_corners(shape: YoungDiagram) -> list[tuple[int, int]]:

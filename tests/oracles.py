@@ -8,6 +8,7 @@ or label index, so these functions can sit on the other side of every
 two-route check.
 """
 
+import math
 from itertools import combinations, product
 
 from heckelis.rng import generator
@@ -208,3 +209,22 @@ def scan_viable_sequence(p, q, seed):
         next_j[i] += 1
         next_i[j] -= 1
     return tuple(out)
+
+
+def scalar_plancherel_curve(x):
+    """The Plancherel limit curve at one point, bisecting on ``t`` with
+    ``math`` floats: ``x = (sin t - t cos t) / pi + cos t`` is decreasing on
+    ``[0, pi]``; the value is ``y = (sin t - t cos t) / pi``, and 0 from 1 on."""
+    if x < 0:
+        raise ValueError(f"curve is defined on x >= 0, got {x}")
+    if x >= 1.0:
+        return 0.0
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if math.sin(mid) / math.pi - mid * math.cos(mid) / math.pi + math.cos(mid) > x:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return (math.sin(t) - t * math.cos(t)) / math.pi

@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -29,6 +30,7 @@ from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, conjugate, staircase
 from heckelis.words import Word, coxeter_length, hecke_product, lds, lis, random_word
 
 from conftest import words
+from oracles import scalar_plancherel_curve
 
 
 class TestSweepConfig:
@@ -119,18 +121,58 @@ class TestPlancherelCurve:
         with pytest.raises(ValueError):
             plancherel_curve(-0.1)
 
+    @staticmethod
+    def _grid(f: ShapeFunction) -> np.ndarray:
+        # the grid sup_norm_distance evaluates the curves on
+        hi = max(f.max_support, 1.0)
+        xs = np.concatenate([np.linspace(0.0, hi, 10**4), f.breakpoints()])
+        return xs[xs <= hi + 1e-12]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            *(profile_function(conjugate(staircase(q)).parts, q * q + 1, q, STAIRCASE_REGIME)
+              for q in (4, 8, 30)),
+            # support 12/8 = 1.5: the grid runs past the curve's zero at 1
+            profile_function(conjugate(YoungDiagram((12, 7, 4, 2, 1))).parts, 16, 30, SQRT_REGIME),
+        ],
+        ids=["staircase-4", "staircase-8", "staircase-30", "sqrt"],
+    )
+    def test_array_equals_scalar_bisection_bitwise(self, f):
+        xs = self._grid(f)
+        expected = np.array([scalar_plancherel_curve(float(x)) for x in xs])
+        assert plancherel_curve(xs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("curve", [plancherel_curve, line_curve])
+    def test_scalar_in_float_out(self, curve):
+        for x in (0, 0.25, 1.0, 3):
+            value = curve(x)
+            assert type(value) is float
+            assert value == curve(np.array([x], dtype=float))[0]
+
+    @pytest.mark.parametrize("curve", [plancherel_curve, line_curve])
+    def test_negative_entry_in_array_rejected(self, curve):
+        with pytest.raises(ValueError, match="x >= 0"):
+            curve(np.array([0.0, 0.5, -1e-12, 2.0]))
+        with pytest.raises(ValueError, match="x >= 0"):
+            curve(-0.1)
+
+    def test_line_is_one_minus_x_then_zero(self):
+        xs = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
+        assert line_curve(xs).tolist() == [1.0, 0.75, 0.5, 0.0, 0.0]
+
 
 class TestSupNorm:
     def test_function_against_itself(self):
         f = profile_function(conjugate(staircase(6)).parts, 0, 6, STAIRCASE_REGIME)
-        reference = lambda x: float(f.step(x)[0])
+        reference = f.step
         # comparing the step form against itself leaves only the linear form
         # displacement, which is below 1/q
         assert sup_norm_distance(f, reference) <= 1.0 / 6
 
     def test_zero_for_matching_linear(self):
         f = ShapeFunction((1.0,), 1.0)
-        reference = lambda x: float(f.linear(x)[0])
+        reference = f.linear
         g = ShapeFunction((1.0,), 1.0)
         # linear form against itself: only the step mismatch at the corner
         assert sup_norm_distance(g, reference) <= 1.0

@@ -116,6 +116,20 @@ class TestSample:
         assert len(lines) == 2 + 8
         assert (tmp_path / "a.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "n, q, trials, seed, digest",
+        [
+            (100, 10, 500, 7, "bf70f60194bb34e1c49966bb86056a7fae8cf55dee74eacb39808abcaca5f108"),
+            (60, 3, 200, 11, "f0b11e3c137b005b3f45f42e30852bbb368056f379d0eb8654f9eaca7ce1ed76"),
+        ],
+        ids=["readme", "staircase-q3"],
+    )
+    def test_bytes_pinned(self, n, q, trials, seed, digest, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli(["sample", "--n", n, "--q", q, "--trials", trials,
+                        "--seed", seed, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("n", [0, 30])
     def test_rows_follow_the_shape(self, n, tmp_path):
         out = tmp_path / "s.csv"
@@ -197,6 +211,31 @@ class TestCurve:
         assert run_cli(["curve", "--n", "0", "--q", "4", "--trials", "1", "--out", out]) == 2
         assert "scale is 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, digest, distances",
+        [
+            (["--n", 400, "--q", 4, "--trials", 8, "--seed", 7, "--threads", 1],
+             "04b58a2750ddf826af219f8e951dc91a11e148c8e2e200c4fe6b4acc6543c034",
+             ("0.606756", "0.249975")),
+            # q * q >= n: the sqrt regime
+            (["--n", 900, "--q", 30, "--trials", 20, "--seed", 7, "--threads", 1],
+             "1019bd0c33f64738d7063b19ca82dd899e87cea51946596499fedc0b12c95d6c",
+             ("0.508333", "0.565833")),
+            (["--n", 2000, "--q", 12, "--trials", 40, "--seed", 3, "--threads", 2],
+             "c612974f5067038b7049583108e947b8f3c342f284a1f23e881906f6355fcbe0",
+             ("0.446335", "0.083308")),
+        ],
+        ids=["staircase-q4", "sqrt-q30", "staircase-q12-threads2"],
+    )
+    def test_bytes_pinned(self, args, digest, distances, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run_cli(["curve", *args, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"sup-norm distance to plancherel curve: {distances[0]}",
+            f"sup-norm distance to staircase line:   {distances[1]}",
+        ]
+
     def test_staircase_regime_selected_for_small_alphabet(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert run_cli(
@@ -255,6 +294,16 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n, q, message",
+        [(-4, 3, "n must be >= 0, got -4"), (10, 0, "q must be >= 1, got 0")],
+    )
+    def test_curve_names_the_bad_size(self, n, q, message, tmp_path, capsys):
+        assert run_cli(["curve", "--n", n, "--q", q, "--trials", "1",
+                        "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_failure_while_writing_leaves_no_file(self, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given
 
+import heckelis.insertion as insertion
 from heckelis.insertion import (
     HeckePair,
     hecke,
@@ -29,6 +30,7 @@ from heckelis.words import (
     lds,
     lis,
     lis_end_positions,
+    longest_element,
     random_word,
     reverse,
 )
@@ -177,6 +179,58 @@ class TestHeckeWordLevel:
         r = lis_end_positions(w)
         expected = tuple(w.letters[r[t] - 1] for t in range(1, lis(w) + 1))
         assert p.rows[0] == expected
+
+
+class TestHeckeshapeEarlyExit:
+    """``heckeshape`` stops inserting once the shape is staircase(q)."""
+
+    def test_matches_full_insertion_exhaustive(self):
+        for q in range(1, 5):
+            for n in range(0, 8):
+                for letters in product(range(1, q + 1), repeat=n):
+                    w = Word(letters, q)
+                    assert heckeshape(w) == hecke(w).shape
+
+    @given(words(max_n=60, max_q=4))
+    def test_matches_full_insertion_random(self, w):
+        assert heckeshape(w) == hecke(w).shape
+
+    @staticmethod
+    def _count_inserts(monkeypatch):
+        calls = []
+        real = insertion._insert
+
+        def counted(rows, x):
+            calls.append(x)
+            return real(rows, x)
+
+        monkeypatch.setattr(insertion, "_insert", counted)
+        return calls
+
+    def test_stops_at_the_staircase(self, monkeypatch):
+        q = 3
+        w = random_word(5000, q, trial_stream(7, 0))
+        w0 = longest_element(q)
+        # the first prefix whose Demazure product is w0 has shape staircase(q)
+        reached = next(m for m in range(len(w) + 1)
+                       if hecke_product(Word(w.letters[:m], q)) == w0)
+        assert reached < 100
+        calls = self._count_inserts(monkeypatch)
+        assert heckeshape(w) == staircase(q)
+        assert len(calls) == reached
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            Word((1, 2) * 2500, 3),  # never uses the letter 3
+            random_word(20, 6, trial_stream(7, 0)),  # 20 letters < 21 boxes
+        ],
+        ids=["missing-letter", "too-short"],
+    )
+    def test_inserts_every_letter_short_of_the_staircase(self, w, monkeypatch):
+        calls = self._count_inserts(monkeypatch)
+        assert heckeshape(w) != staircase(w.alphabet_size)
+        assert calls == list(w.letters)
 
 
 class TestReverseHecke:

@@ -179,6 +179,16 @@ class TestCountIncreasing:
         assert count_increasing(YoungDiagram((1000,)), 1000) == 1
         assert count_increasing(YoungDiagram((1,) * 1000), 1000) == 1
 
+    def test_table_over_a_tall_bound(self):
+        # only the top row of a run of equal parts can grow, so the growth
+        # step skips the run instead of testing each of its 1000 rows
+        import time
+
+        start = time.perf_counter()
+        counts = increasing_counts(YoungDiagram((1,) * 1000), 1000)
+        assert counts[(1,) * 1000] == 1
+        assert time.perf_counter() - start < 20
+
     def test_single_row_is_a_binomial(self):
         assert count_increasing(YoungDiagram((6,)), 60) == comb(60, 6) == 50063860
 
