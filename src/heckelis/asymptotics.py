@@ -43,8 +43,7 @@ class SweepConfig:
         for name, value in (("alpha", self.alpha), ("k", self.k)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.n < 0 or self.trials < 1:
-            raise ValueError("need n >= 0 and trials >= 1")
+        _check_sizes(self.n, self.trials)
         try:
             q = self.q
         except (OverflowError, ZeroDivisionError):
@@ -81,11 +80,12 @@ _BLOCK = 64  # trials per scheduling unit
 _MAX_Q = 2**63 - 1  # random_word draws its letters as numpy int64
 
 
-def _check_sizes(n: int, q: int, trials: int) -> None:
+def _check_sizes(n: int, trials: int, q: int | None = None) -> None:
+    """The one check of a sampling run's sizes; ``q`` is checked if given."""
     for name, value, low in (("n", n, 0), ("q", q, 1), ("trials", trials, 1)):
-        if value < low:
+        if value is not None and value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    if q > _MAX_Q:
+    if q is not None and q > _MAX_Q:
         raise ValueError(f"q must be <= 2**63 - 1, got {q}")
 
 
@@ -93,7 +93,7 @@ def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
     """Uniform words of trials ``start .. stop-1``, one at a time; trial
     ``t`` draws its word from ``trial_stream(seed, t)``.  The sizes are
     checked here, before the first word is drawn."""
-    _check_sizes(n, q, stop - start)
+    _check_sizes(n, stop - start, q)
     return (random_word(n, q, trial_stream(seed, t)) for t in range(start, stop))
 
 
@@ -162,7 +162,7 @@ def sweep_at(
     ``(seed, trial)`` and the merged quantities are integer sums.  The pool
     never gets more workers than there are blocks or CPUs.
     """
-    _check_sizes(n, q, trials)
+    _check_sizes(n, trials, q)
     blocks = [(n, q, seed, s, min(s + _BLOCK, trials), profile)
               for s in range(0, trials, _BLOCK)]
     workers = min(threads, len(blocks), os.cpu_count() or 1)

@@ -18,7 +18,8 @@ with the same manifest parameters reproduces the data files byte for byte
 accumulation is integer counts merged commutatively).  A command that fails
 to write any of its files leaves none of them, manifest included.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or guard error.
+Exit codes: 0 success, 1 verification failure, 2 usage or guard error
+(a size too large for memory included).
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def cmd_curve(args) -> int:
     # alphabet at or above sqrt(n) puts the shape in the sqrt scaling regime
     regime = SQRT_REGIME if args.q * args.q >= args.n else STAIRCASE_REGIME
     # bad sizes, then a zero scale, fail before sampling
-    _check_sizes(args.n, args.q, args.trials)
+    _check_sizes(args.n, args.trials, args.q)
     profile_function((), args.n, args.q, regime)
     res = sweep_at(args.n, args.q, args.trials, args.seed, threads=args.threads, profile=True)
     fhat = profile_function(res.mean_profile, args.n, args.q, regime)
@@ -319,8 +320,8 @@ def main(argv=None) -> int:
         # build_parser reads HECKELIS_SEED, so a bad value is a usage error too
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        print(f"error: {err or type(err).__name__}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -4,6 +4,11 @@ Cards are dealt left to right onto piles.  With ties allowed, a card may
 cover a card of greater or equal value; with ties forbidden, only strictly
 greater.  Under the greedy strategy (leftmost legal pile) the pile tops
 weakly increase left to right, so the legal pile is found by binary search.
+
+``play_greedy`` deals one word and is the rule.  ``deck_simulation`` deals
+whole blocks of shuffled decks at once with ``deal_piles``, which keeps
+only the tops and the pile sizes and must agree with ``play_greedy`` deck
+by deck.
 """
 
 from __future__ import annotations
@@ -81,35 +86,68 @@ class DeckStats:
     mean_pile_sizes: tuple[float, ...]  # by position; absent piles count 0
 
 
+# a block of decks holds about this many cards (one deck if it is wider),
+# so memory stays flat however wide a deck is
+_BLOCK_CARDS = 2**15
+
+
+def deal_piles(decks: np.ndarray, ranks: int) -> np.ndarray:
+    """Deal each row of ``decks`` (cards in 1..``ranks``) with ties-allowed
+    greedy patience; return the pile sizes, one row per deck and one column
+    per pile position, 0 where a deck has fewer piles.
+
+    Row r's tops are stored as ``r * (ranks + 2) + top`` in one flat array,
+    followed by a sentinel ``r * (ranks + 2) + ranks + 1``.  The tops
+    weakly increase within a row and the offsets keep the rows apart, so
+    one ``searchsorted`` finds, in every row at once, the leftmost pile the
+    next card may cover, or the sentinel when the card starts a new pile.
+    """
+    rows, cards = decks.shape
+    width = ranks + 1
+    offsets = np.arange(rows, dtype=np.int64) * (ranks + 2)
+    tops = np.repeat(offsets + (ranks + 1), width)
+    needles = decks.T + offsets
+    slots = np.empty((cards, rows), dtype=np.int64)
+    search, put = tops.searchsorted, tops.put
+    for needle, slot in zip(needles, slots):
+        # side="left": the first top >= the card, so a card may cover its equal
+        slot[...] = search(needle)
+        put(slot, needle)
+    sizes = np.bincount(slots.ravel(), minlength=rows * width).reshape(rows, width)
+    return sizes[:, :ranks]
+
+
 def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) -> DeckStats:
     """Shuffle a deck of ``copies_per_rank`` copies of each of ``ranks``
     values uniformly per trial, play ties-allowed greedy patience, and
-    aggregate the pile-count histogram and per-position mean pile sizes."""
+    aggregate the pile-count histogram and per-position mean pile sizes.
+
+    Trial t shuffles with its own ``trial_generator(seed, t)``; the decks
+    are dealt a block at a time by ``deal_piles``."""
     if ranks < 1 or copies_per_rank < 1:
         raise ValueError("ranks and copies_per_rank must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     deck = np.repeat(np.arange(1, ranks + 1), copies_per_rank)
-    histogram: dict[int, int] = {}
-    size_sums: list[int] = []
-    pile_total = 0
-    for t in range(trials):
-        rng = trial_generator(seed, t)
-        shuffled = deck[rng.permutation(deck.size)]
-        state = play_greedy(Word(tuple(shuffled.tolist()), ranks))
-        k = pile_count(state)
-        histogram[k] = histogram.get(k, 0) + 1
-        pile_total += k
-        if k > len(size_sums):
-            size_sums.extend([0] * (k - len(size_sums)))
-        for i, pile in enumerate(state.piles):
-            size_sums[i] += len(pile)
+    block = max(1, _BLOCK_CARDS // deck.size)
+    histogram = np.zeros(ranks + 1, dtype=np.int64)
+    size_sums = np.zeros(ranks, dtype=np.int64)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        decks = np.empty((stop - start, deck.size), dtype=deck.dtype)
+        for row, t in enumerate(range(start, stop)):
+            decks[row] = deck[trial_generator(seed, t).permutation(deck.size)]
+        sizes = deal_piles(decks, ranks)
+        histogram += np.bincount(np.count_nonzero(sizes, axis=1), minlength=ranks + 1)
+        size_sums += sizes.sum(axis=0)
+    counts = histogram.tolist()
+    most = max(k for k, c in enumerate(counts) if c)
     return DeckStats(
         ranks=ranks,
         copies_per_rank=copies_per_rank,
         trials=trials,
         seed=seed,
-        histogram=dict(sorted(histogram.items())),
-        mean_piles=pile_total / trials,
-        mean_pile_sizes=tuple(s / trials for s in size_sums),
+        histogram={k: c for k, c in enumerate(counts) if c},
+        mean_piles=sum(k * c for k, c in enumerate(counts)) / trials,
+        mean_pile_sizes=tuple(s / trials for s in size_sums[:most].tolist()),
     )

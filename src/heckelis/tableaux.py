@@ -13,7 +13,8 @@ Counts provided here:
 * ``count_semistandard(shape, q)``: hook-content formula.
 
 Both dynamic programs, ``partitions_in_staircase`` and the corner helpers
-grow shapes by one step of Young's lattice, ``_growths``.
+grow shapes by one step of Young's lattice, ``_growths``.  Both tables are
+built over the conjugate of a bound with more rows than columns.
 
 All counting is exact integer or rational arithmetic; no floats appear in
 any enumeration path.  Boxes are addressed (row, column), 1-based, English
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import factorial
 from operator import index, le, lt
 
@@ -69,11 +71,17 @@ class YoungDiagram:
 EMPTY_DIAGRAM = YoungDiagram(())
 
 
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of the parts tuple ``parts``: the columns past the
+    next row's part and up to row r's part have length r."""
+    columns: list[int] = []
+    for r, part in enumerate(parts, start=1):
+        columns.extend([r] * (part - (parts[r] if r < len(parts) else 0)))
+    return tuple(reversed(columns))
+
+
 def conjugate(shape: YoungDiagram) -> YoungDiagram:
-    parts = shape.parts
-    if not parts:
-        return EMPTY_DIAGRAM
-    return YoungDiagram(tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1)))
+    return YoungDiagram(_conjugate_parts(shape.parts))
 
 
 def corners(shape: YoungDiagram) -> list[tuple[int, int]]:
@@ -220,6 +228,23 @@ class SemistandardTableau:
         return YoungDiagram(tuple(len(r) for r in self.rows))
 
 
+def _over_the_shorter_side(table):
+    """Build ``table`` over the conjugate of a bound with more rows than
+    columns and conjugate its keys back.  Both families are closed under
+    transposing a filling, which keeps its entries, so the counts agree,
+    and the parts tuples the table hashes and slices get shorter."""
+
+    @wraps(table)
+    def over_bound(bound: YoungDiagram, size: int) -> dict[tuple[int, ...], int]:
+        parts = bound.parts
+        if not parts or len(parts) <= parts[0]:
+            return table(bound, size)
+        return {_conjugate_parts(mu): k for mu, k in table(conjugate(bound), size).items()}
+
+    return over_bound
+
+
+@_over_the_shorter_side
 def increasing_counts(bound: YoungDiagram, q: int) -> dict[tuple[int, ...], int]:
     """Number of increasing tableaux with entries at most ``q`` of every
     subshape of ``bound``, keyed by its parts; shapes with none are left out.
@@ -249,14 +274,11 @@ def increasing_counts(bound: YoungDiagram, q: int) -> dict[tuple[int, ...], int]
 
 
 def count_increasing(shape: YoungDiagram, q: int) -> int:
-    """Number of increasing tableaux of ``shape`` with entries at most ``q``;
-    a filling transposes to one of the conjugate shape, so the table is
-    built over whichever of the two has fewer rows (shorter keys)."""
-    if shape.parts and len(shape.parts) > shape.parts[0]:
-        shape = conjugate(shape)
+    """Number of increasing tableaux of ``shape`` with entries at most ``q``."""
     return increasing_counts(shape, q).get(shape.parts, 0)
 
 
+@_over_the_shorter_side
 def set_valued_counts(bound: YoungDiagram, n: int) -> dict[tuple[int, ...], int]:
     """Number of standard set-valued tableaux on labels 1..n of every
     subshape of ``bound``, keyed by its parts; shapes with none are left out.

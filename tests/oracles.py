@@ -2,16 +2,20 @@
 
 Everything here enumerates rather than computes: subsequences for LIS/LDS,
 full fillings for the tableau counts, every cell of a mixed tableau for a
-switch, every inner label for a viable switch sequence.  None of it
-touches the package's dynamic programs, product formulas, insertion code
-or label index, so these functions can sit on the other side of every
-two-route check.
+switch, every inner label for a viable switch sequence, one deck at a
+time for the deck simulation.  None of it touches the package's dynamic
+programs, product formulas, insertion code, label index or block dealer,
+so these functions can sit on the other side of every two-route check.
 """
 
 import math
 from itertools import combinations, product
 
-from heckelis.rng import generator
+import numpy as np
+
+from heckelis.patience import DeckStats, play_greedy
+from heckelis.rng import generator, trial_generator
+from heckelis.words import Word
 
 
 def brute_lis(letters) -> int:
@@ -209,6 +213,34 @@ def scan_viable_sequence(p, q, seed):
         next_j[i] += 1
         next_i[j] -= 1
     return tuple(out)
+
+
+def scalar_deck_simulation(ranks, copies_per_rank, trials, seed) -> DeckStats:
+    """``patience.deck_simulation`` one deck at a time: shuffle trial t with
+    ``trial_generator(seed, t)``, deal it with ``play_greedy`` and add its
+    pile count and pile sizes to plain Python sums."""
+    deck = np.repeat(np.arange(1, ranks + 1), copies_per_rank)
+    histogram: dict[int, int] = {}
+    size_sums: list[int] = []
+    pile_total = 0
+    for t in range(trials):
+        shuffled = deck[trial_generator(seed, t).permutation(deck.size)]
+        piles = play_greedy(Word(tuple(shuffled.tolist()), ranks)).piles
+        k = len(piles)
+        histogram[k] = histogram.get(k, 0) + 1
+        pile_total += k
+        size_sums.extend([0] * (k - len(size_sums)))
+        for i, pile in enumerate(piles):
+            size_sums[i] += len(pile)
+    return DeckStats(
+        ranks=ranks,
+        copies_per_rank=copies_per_rank,
+        trials=trials,
+        seed=seed,
+        histogram=dict(sorted(histogram.items())),
+        mean_piles=pile_total / trials,
+        mean_pile_sizes=tuple(s / trials for s in size_sums),
+    )
 
 
 def scalar_plancherel_curve(x):

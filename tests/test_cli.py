@@ -260,6 +260,48 @@ class TestPatience:
         total = sum(int(r.split(",")[1]) for r in hist[2:])
         assert total == 50
 
+    @pytest.mark.parametrize(
+        "ranks, copies, trials, seed, histogram, pile_sizes",
+        [
+            (13, 4, 2000, 7,
+             "18d2b6352edf880a18de33ac6432d0fd66f08a7c0e5f9cc00b45aba713866dce",
+             "a18d87678458d1346ac87858600640e58f762b412a9a97c9d5f197da57d028b1"),
+            (1000, 1, 300, 3,
+             "b87ac47137c95fc70ec4ba3d0d97596e7edc4fe9d1b515768ff0e735a2aae22c",
+             "ef745cb514dcb2e0a25435119d97a70c238f5c113dc4dc7afca0f49b1d33dccf"),
+            (5, 3, 1537, 11,
+             "335b326e104b03971c2f4acb8bd495a76b58d95a92ca25da854237c62b178391",
+             "2354f5555704f6eb897fd19560cae3b625c45a3f2094f7c211d0d4e2e196bf5a"),
+            (1, 5, 50, 3,
+             "d60a0a36fc0447358e264a76cf7cfd033bfe6f1773623472746d712abec5f5df",
+             "ffdaac8edea191c792e6a0b01eacf80c7e8d04c3a02f3d89e0fba1bf52ba1cce"),
+        ],
+        ids=["13x4", "1000x1", "5x3", "1x5"],
+    )
+    def test_bytes_pinned(self, ranks, copies, trials, seed, histogram, pile_sizes,
+                          tmp_path, capsys):
+        out = tmp_path / "deck"
+        assert run_cli(["patience", "--ranks", ranks, "--copies", copies,
+                        "--trials", trials, "--seed", seed, "--out", out]) == 0
+        for name, digest in [("histogram", histogram), ("pile_sizes", pile_sizes)]:
+            data = (tmp_path / f"deck_{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_deck_too_large_for_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # what numpy raises for a deck of 10**10 cards, without allocating it
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(10000000000,) and data type int64")
+
+        monkeypatch.setattr(cli, "deck_simulation", out_of_memory)
+        assert run_cli(["patience", "--ranks", "100000", "--copies", "100000",
+                        "--trials", "1", "--out", tmp_path / "deck"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: Unable to allocate 74.5 GiB for an array with shape "
+                                "(10000000000,) and data type int64\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -302,6 +344,16 @@ class TestUsageErrors:
     )
     def test_curve_names_the_bad_size(self, n, q, message, tmp_path, capsys):
         assert run_cli(["curve", "--n", n, "--q", q, "--trials", "1",
+                        "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n, trials, message",
+        [(-3, 1, "n must be >= 0, got -3"), (10, 0, "trials must be >= 1, got 0")],
+    )
+    def test_sweep_names_the_bad_size(self, n, trials, message, tmp_path, capsys):
+        assert run_cli(["sweep", "--n", n, "--alpha-grid", "0.5", "--trials", trials,
                         "--out", tmp_path / "x.csv"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []

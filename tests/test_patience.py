@@ -1,11 +1,15 @@
-from itertools import product
+from itertools import permutations, product
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
+from heckelis import patience
 from heckelis.insertion import hecke
 from heckelis.patience import (
     PileState,
+    deal_piles,
     deck_simulation,
     pile_count,
     pile_tops,
@@ -15,6 +19,7 @@ from heckelis.rng import trial_generator
 from heckelis.words import Word, lis
 
 from conftest import words
+from oracles import scalar_deck_simulation
 
 TWELVE_CARD_WORD = Word((2, 1, 4, 1, 3, 5, 3, 2, 5, 1, 4, 2), 5)
 
@@ -97,6 +102,41 @@ class TestAgainstInsertion:
                     assert pile_count(play_greedy(w)) == lis(w)
 
 
+def greedy_sizes(deck, ranks):
+    """Pile sizes of ``play_greedy`` on one deck, padded with zeros to ``ranks``."""
+    sizes = [len(pile) for pile in play_greedy(Word(tuple(deck), ranks)).piles]
+    return sizes + [0] * (ranks - len(sizes))
+
+
+@st.composite
+def deck_blocks(draw, max_rows=6, max_cards=40, max_ranks=8):
+    ranks = draw(st.integers(1, max_ranks))
+    cards = draw(st.integers(1, max_cards))
+    rows = draw(st.integers(1, max_rows))
+    letters = st.lists(st.integers(1, ranks), min_size=cards, max_size=cards)
+    return ranks, draw(st.lists(letters, min_size=rows, max_size=rows))
+
+
+class TestDealPiles:
+    """The block dealer against ``play_greedy``, deck by deck and pile by pile."""
+
+    def test_every_ordering_of_small_multiset_decks(self):
+        for ranks in range(1, 4):
+            for copies in range(1, 4):
+                deck = [rank for rank in range(1, ranks + 1) for _ in range(copies)]
+                decks = sorted(set(permutations(deck)))
+                sizes = deal_piles(np.array(decks), ranks)
+                assert sizes.shape == (len(decks), ranks)
+                for row, order in zip(sizes.tolist(), decks):
+                    assert row == greedy_sizes(order, ranks)
+
+    @given(deck_blocks())
+    def test_random_blocks(self, block):
+        ranks, decks = block
+        sizes = deal_piles(np.array(decks), ranks)
+        assert sizes.tolist() == [greedy_sizes(deck, ranks) for deck in decks]
+
+
 class TestDeckSimulation:
     def test_single_rank(self):
         stats = deck_simulation(1, 5, 50, 3)
@@ -113,6 +153,24 @@ class TestDeckSimulation:
         a = deck_simulation(6, 2, 100, 5)
         b = deck_simulation(6, 2, 100, 5)
         assert a == b
+
+    @pytest.mark.parametrize("ranks, copies, trials, seed", [
+        (1, 5, 50, 3),
+        (1000, 1, 40, 3),
+        (400, 3, 30, 3),
+        (5, 3, 300, 11),
+    ])
+    def test_equals_scalar_oracle(self, ranks, copies, trials, seed):
+        assert deck_simulation(ranks, copies, trials, seed) == scalar_deck_simulation(
+            ranks, copies, trials, seed)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["b-1", "b", "b+1", "2b+1"])
+    def test_equals_scalar_oracle_around_the_block_size(self, blocks, extra):
+        ranks, copies = 13, 4
+        trials = blocks * (patience._BLOCK_CARDS // (ranks * copies)) + extra
+        assert deck_simulation(ranks, copies, trials, 5) == scalar_deck_simulation(
+            ranks, copies, trials, 5)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -180,8 +180,8 @@ class TestCountIncreasing:
         assert count_increasing(YoungDiagram((1,) * 1000), 1000) == 1
 
     def test_table_over_a_tall_bound(self):
-        # only the top row of a run of equal parts can grow, so the growth
-        # step skips the run instead of testing each of its 1000 rows
+        # the table is built over the conjugate bound (1000,), whose keys
+        # are one part long, and its keys are conjugated back
         import time
 
         start = time.perf_counter()
@@ -200,6 +200,16 @@ class TestCountIncreasing:
                 count = brute_count_increasing(shape.parts, q)
                 assert table.get(shape.parts, 0) == count
                 assert (shape.parts in table) == (count > 0)
+
+    def test_table_over_a_tall_bound_against_enumeration(self):
+        # more rows than columns: built over the conjugate bound
+        for q in range(1, 5):
+            table = increasing_counts(YoungDiagram((2, 1, 1, 1)), q)
+            for parts in all_partitions(5):
+                if YoungDiagram((2, 1, 1, 1)).contains(YoungDiagram(parts)):
+                    count = brute_count_increasing(parts, q)
+                    assert table.get(parts, 0) == count
+                    assert (parts in table) == (count > 0)
 
 
 class TestCountSetValued:
@@ -237,6 +247,16 @@ class TestCountSetValued:
                 count = brute_count_set_valued(shape.parts, n)
                 assert table.get(shape.parts, 0) == count
                 assert (shape.parts in table) == (count > 0)
+
+    def test_table_over_a_tall_bound_against_enumeration(self):
+        # more rows than columns: built over the conjugate bound
+        for n in range(0, 7):
+            table = set_valued_counts(YoungDiagram((2, 1, 1, 1)), n)
+            for parts in all_partitions(5):
+                if YoungDiagram((2, 1, 1, 1)).contains(YoungDiagram(parts)):
+                    count = brute_count_set_valued(parts, n)
+                    assert table.get(parts, 0) == count
+                    assert (parts in table) == (count > 0)
 
     def test_exact_label_count_is_standard_count(self):
         for parts in all_partitions(8):
