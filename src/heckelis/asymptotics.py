@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .insertion import heckeshape
-from .rng import trial_stream
+from .rng import trial_generators
 from .tableaux import conjugate, staircase
 from .words import hecke_product, longest_element, patience_lis, random_word
 
@@ -91,10 +91,11 @@ def _check_sizes(n: int, trials: int, q: int | None = None) -> None:
 
 def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
     """Uniform words of trials ``start .. stop-1``, one at a time; trial
-    ``t`` draws its word from ``trial_stream(seed, t)``.  The sizes are
-    checked here, before the first word is drawn."""
+    ``t`` draws its word from its ``(seed, t)`` stream, taken from
+    ``trial_generators``.  The sizes are checked here, before the first
+    word is drawn."""
     _check_sizes(n, stop - start, q)
-    return (random_word(n, q, trial_stream(seed, t)) for t in range(start, stop))
+    return (random_word(n, q, rng) for rng in trial_generators(seed, start, stop))
 
 
 def trial_shapes(n: int, q: int, seed: int, stop: int, start: int = 0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import trial_generator
+from .rng import trial_generators
 from .words import Word
 
 TIES_ALLOWED = "allowed"
@@ -86,15 +86,18 @@ class DeckStats:
     mean_pile_sizes: tuple[float, ...]  # by position; absent piles count 0
 
 
-# a block of decks holds about this many cards (one deck if it is wider),
-# so memory stays flat however wide a deck is
+# a block of decks holds about this many cards, and at least
+# _MIN_BLOCK_DECKS decks, so memory stays flat however wide a deck is and
+# a wide deck still shares each numpy call with others
 _BLOCK_CARDS = 2**15
+_MIN_BLOCK_DECKS = 4
 
 
 def deal_piles(decks: np.ndarray, ranks: int) -> np.ndarray:
     """Deal each row of ``decks`` (cards in 1..``ranks``) with ties-allowed
-    greedy patience; return the pile sizes, one row per deck and one column
-    per pile position, 0 where a deck has fewer piles.
+    greedy patience; return, in the same layout, the 0-based position of
+    the pile each card went on.  A deck's piles are numbered left to right
+    as they appear, so its pile count is its largest position plus one.
 
     Row r's tops are stored as ``r * (ranks + 2) + top`` in one flat array,
     followed by a sentinel ``r * (ranks + 2) + ranks + 1``.  The tops
@@ -103,18 +106,22 @@ def deal_piles(decks: np.ndarray, ranks: int) -> np.ndarray:
     next card may cover, or the sentinel when the card starts a new pile.
     """
     rows, cards = decks.shape
-    width = ranks + 1
-    offsets = np.arange(rows, dtype=np.int64) * (ranks + 2)
-    tops = np.repeat(offsets + (ranks + 1), width)
-    needles = decks.T + offsets
-    slots = np.empty((cards, rows), dtype=np.int64)
+    # int32 wherever the flat values fit, to halve the block's memory
+    dtype = np.int32 if rows * (ranks + 2) <= np.iinfo(np.int32).max else np.int64
+    offsets = np.arange(rows, dtype=dtype) * (ranks + 2)
+    tops = np.repeat(offsets + (ranks + 1), ranks + 1)
+    # the cards in dealing order, offset by row; each is then overwritten by
+    # the index in ``tops`` of the pile it went on
+    slots = np.empty((cards, rows), dtype=dtype)
+    np.add(decks.T, offsets, out=slots)
     search, put = tops.searchsorted, tops.put
-    for needle, slot in zip(needles, slots):
+    for slot in slots:
         # side="left": the first top >= the card, so a card may cover its equal
-        slot[...] = search(needle)
-        put(slot, needle)
-    sizes = np.bincount(slots.ravel(), minlength=rows * width).reshape(rows, width)
-    return sizes[:, :ranks]
+        piles = search(slot)
+        put(piles, slot)
+        slot[...] = piles
+    slots -= np.arange(rows, dtype=dtype) * (ranks + 1)  # where row r's piles start
+    return slots.T
 
 
 def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) -> DeckStats:
@@ -122,24 +129,27 @@ def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) ->
     values uniformly per trial, play ties-allowed greedy patience, and
     aggregate the pile-count histogram and per-position mean pile sizes.
 
-    Trial t shuffles with its own ``trial_generator(seed, t)``; the decks
-    are dealt a block at a time by ``deal_piles``."""
+    Trial t shuffles its deck with its own ``(seed, t)`` stream, taken from
+    ``trial_generators``; the decks are dealt a block at a time by
+    ``deal_piles``."""
     if ranks < 1 or copies_per_rank < 1:
         raise ValueError("ranks and copies_per_rank must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    deck = np.repeat(np.arange(1, ranks + 1), copies_per_rank)
-    block = max(1, _BLOCK_CARDS // deck.size)
+    # the narrowest type that holds the ranks: it is shuffled and copied per deck
+    deck = np.repeat(np.arange(1, ranks + 1, dtype=np.min_scalar_type(ranks)), copies_per_rank)
+    block = max(_MIN_BLOCK_DECKS, _BLOCK_CARDS // deck.size)
+    streams = trial_generators(seed, 0, trials)
     histogram = np.zeros(ranks + 1, dtype=np.int64)
     size_sums = np.zeros(ranks, dtype=np.int64)
     for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        decks = np.empty((stop - start, deck.size), dtype=deck.dtype)
-        for row, t in enumerate(range(start, stop)):
-            decks[row] = deck[trial_generator(seed, t).permutation(deck.size)]
-        sizes = deal_piles(decks, ranks)
-        histogram += np.bincount(np.count_nonzero(sizes, axis=1), minlength=ranks + 1)
-        size_sums += sizes.sum(axis=0)
+        decks = np.tile(deck, (min(block, trials - start), 1))
+        for row, rng in zip(decks, streams):
+            rng.shuffle(row)  # the same order as deck[rng.permutation(deck.size)]
+        piles = deal_piles(decks, ranks)
+        histogram += np.bincount(piles.max(axis=1) + 1, minlength=ranks + 1)
+        # the order of the cards does not matter to the sums, so read them as stored
+        size_sums += np.bincount(piles.ravel(order="K"), minlength=ranks)
     counts = histogram.tolist()
     most = max(k for k, c in enumerate(counts) if c)
     return DeckStats(

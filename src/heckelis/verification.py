@@ -17,7 +17,7 @@ from .measures import exact_plancherel_hecke, markov_transition, plancherel_heck
 from .patience import TIES_ALLOWED, pile_count, pile_tops, play_greedy
 from .tableaux import YoungDiagram, add_corner, addable_corners, partitions_in_staircase
 from .words import Word, lds, lis, random_word
-from .rng import trial_stream
+from .rng import trial_generators
 
 FAST = "fast"
 FULL = "full"
@@ -68,8 +68,8 @@ def check_first_row_column(level: str = FAST) -> SuiteReport:
     max_n, max_q = (6, 4) if level == FULL else (5, 3)
     rand_trials, max_len = (10_000, 60) if level == FULL else (300, 25)
     random_words = (
-        random_word(1 + t % max_len, 1 + t % 10, trial_stream(987_654_321, t))
-        for t in range(rand_trials)
+        random_word(1 + t % max_len, 1 + t % 10, rng)
+        for t, rng in enumerate(trial_generators(987_654_321, 0, rand_trials))
     )
     words = 0
     for w in chain(_words_up_to(max_n, max_q), random_words):

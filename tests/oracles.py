@@ -3,9 +3,10 @@
 Everything here enumerates rather than computes: subsequences for LIS/LDS,
 full fillings for the tableau counts, every cell of a mixed tableau for a
 switch, every inner label for a viable switch sequence, one deck at a
-time for the deck simulation.  None of it touches the package's dynamic
-programs, product formulas, insertion code, label index or block dealer,
-so these functions can sit on the other side of every two-route check.
+time for the deck simulation, one ``SeedSequence`` per trial for the block
+streams.  None of it touches the package's dynamic programs, product
+formulas, insertion code, label index, block dealer or key hash, so these
+functions can sit on the other side of every two-route check.
 """
 
 import math
@@ -14,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from heckelis.patience import DeckStats, play_greedy
-from heckelis.rng import generator, trial_generator
+from heckelis.rng import generator, trial_stream
 from heckelis.words import Word
 
 
@@ -213,6 +214,13 @@ def scan_viable_sequence(p, q, seed):
         next_j[i] += 1
         next_i[j] -= 1
     return tuple(out)
+
+
+def trial_generator(base_seed, trial):
+    """Trial ``trial``'s generator straight from the contract, one
+    ``SeedSequence``, ``Philox`` and ``Generator`` per trial: the oracle of
+    ``rng.trial_generators``."""
+    return generator(trial_stream(base_seed, trial))
 
 
 def scalar_deck_simulation(ranks, copies_per_rank, trials, seed) -> DeckStats:

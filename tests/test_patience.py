@@ -15,7 +15,7 @@ from heckelis.patience import (
     pile_tops,
     play_greedy,
 )
-from heckelis.rng import trial_generator
+from heckelis.rng import trial_generators
 from heckelis.words import Word, lis
 
 from conftest import words
@@ -102,10 +102,17 @@ class TestAgainstInsertion:
                     assert pile_count(play_greedy(w)) == lis(w)
 
 
-def greedy_sizes(deck, ranks):
-    """Pile sizes of ``play_greedy`` on one deck, padded with zeros to ``ranks``."""
-    sizes = [len(pile) for pile in play_greedy(Word(tuple(deck), ranks)).piles]
-    return sizes + [0] * (ranks - len(sizes))
+def dealt_piles(deck, positions):
+    """The piles, cards bottom to top, of a deck whose card i went on pile
+    ``positions[i]``."""
+    piles = [[] for _ in range(max(positions) + 1)]
+    for card, position in zip(deck, positions):
+        piles[position].append(card)
+    return tuple(tuple(pile) for pile in piles)
+
+
+def greedy_piles(deck, ranks):
+    return play_greedy(Word(tuple(deck), ranks)).piles
 
 
 @st.composite
@@ -118,23 +125,24 @@ def deck_blocks(draw, max_rows=6, max_cards=40, max_ranks=8):
 
 
 class TestDealPiles:
-    """The block dealer against ``play_greedy``, deck by deck and pile by pile."""
+    """The block dealer against ``play_greedy``, deck by deck and card by card."""
 
     def test_every_ordering_of_small_multiset_decks(self):
         for ranks in range(1, 4):
             for copies in range(1, 4):
                 deck = [rank for rank in range(1, ranks + 1) for _ in range(copies)]
                 decks = sorted(set(permutations(deck)))
-                sizes = deal_piles(np.array(decks), ranks)
-                assert sizes.shape == (len(decks), ranks)
-                for row, order in zip(sizes.tolist(), decks):
-                    assert row == greedy_sizes(order, ranks)
+                positions = deal_piles(np.array(decks), ranks)
+                assert positions.shape == (len(decks), ranks * copies)
+                for row, order in zip(positions.tolist(), decks):
+                    assert dealt_piles(order, row) == greedy_piles(order, ranks)
 
     @given(deck_blocks())
     def test_random_blocks(self, block):
         ranks, decks = block
-        sizes = deal_piles(np.array(decks), ranks)
-        assert sizes.tolist() == [greedy_sizes(deck, ranks) for deck in decks]
+        positions = deal_piles(np.array(decks), ranks).tolist()
+        assert [dealt_piles(deck, row) for deck, row in zip(decks, positions)] == [
+            greedy_piles(deck, ranks) for deck in decks]
 
 
 class TestDeckSimulation:
@@ -159,6 +167,7 @@ class TestDeckSimulation:
         (1000, 1, 40, 3),
         (400, 3, 30, 3),
         (5, 3, 300, 11),
+        (9000, 1, 6, 3),  # wider than _BLOCK_CARDS / 4: blocks of 4 decks
     ])
     def test_equals_scalar_oracle(self, ranks, copies, trials, seed):
         assert deck_simulation(ranks, copies, trials, seed) == scalar_deck_simulation(
@@ -186,8 +195,7 @@ class TestDeckSimulation:
         ranks, copies, trials = 13, 4, 100_000
         deck = np.repeat(np.arange(1, ranks + 1), copies)
         counts = np.zeros(ranks + 1, dtype=int)
-        for t in range(trials):
-            rng = trial_generator(99, t)
+        for rng in trial_generators(99, 0, trials):
             counts[deck[rng.permutation(deck.size)][0]] += 1
         p = 1 / ranks
         sigma = (trials * p * (1 - p)) ** 0.5
