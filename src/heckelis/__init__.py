@@ -17,8 +17,6 @@ from .words import (
     lis,
     lds,
     patience_lis,
-    lis_end_positions,
-    reverse,
     random_word,
     hecke_product,
     coxeter_length,
@@ -28,12 +26,9 @@ from .tableaux import (
     YoungDiagram,
     IncreasingTableau,
     SetValuedStandardTableau,
-    SemistandardTableau,
     conjugate,
-    corners,
     staircase,
     superstandard,
-    reading_word,
     count_increasing,
     count_set_valued_standard,
     count_standard,
@@ -41,12 +36,9 @@ from .tableaux import (
 )
 from .insertion import (
     HeckePair,
-    InsertionStep,
     hecke,
-    hecke_insert,
     hecke_inverse,
     heckeshape,
-    reverse_hecke,
     rsk_shape,
     schensted_shape,
 )
@@ -61,8 +53,6 @@ from .kjdt import (
 from .measures import (
     ExactDistribution,
     exact_plancherel_hecke,
-    expected_lis_exact,
-    prob_lis_exact,
     plancherel_rsk_prob,
     markov_transition,
 )
@@ -78,4 +68,4 @@ from .asymptotics import (
     beta,
     erdos_szekeres_bound,
 )
-from .patience import PileState, play_greedy, pile_tops, pile_count, deck_simulation
+from .patience import PileState, play_greedy, deck_simulation

@@ -44,10 +44,7 @@ from .asymptotics import (
     sweep_at,
     trial_shapes,
 )
-from .measures import (
-    ExactModeGuardError,
-    exact_plancherel_hecke,
-)
+from .measures import exact_plancherel_hecke
 from .patience import deck_simulation
 from .verification import FAST, FULL, run_suites
 
@@ -145,11 +142,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    try:
-        dist = exact_plancherel_hecke(args.n, args.q)
-    except ExactModeGuardError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    dist = exact_plancherel_hecke(args.n, args.q)
     expected = dist.expected_lis()
     payload = {
         "n": args.n,

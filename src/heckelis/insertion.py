@@ -22,16 +22,6 @@ from .words import Permutation, Word
 
 
 @dataclass(frozen=True)
-class InsertionStep:
-    """Result of one insertion: the new tableau, the recording corner
-    (1-based), and the flag saying whether the corner is a new box."""
-
-    tableau: IncreasingTableau
-    corner: tuple[int, int]
-    flag: int
-
-
-@dataclass(frozen=True)
 class HeckePair:
     p: IncreasingTableau
     q: SetValuedStandardTableau
@@ -85,15 +75,6 @@ def _insert(rows: list[list[int]], x: int) -> tuple[int, int, int]:
         r += 1
 
 
-def hecke_insert(t: IncreasingTableau, x: int) -> InsertionStep:
-    """One Hecke insertion of the letter ``x`` into ``t``."""
-    if x < 1:
-        raise ValueError(f"letters must be positive, got {x}")
-    rows = [list(row) for row in t.rows]
-    r, c, flag = _insert(rows, x)
-    return InsertionStep(IncreasingTableau(tuple(tuple(r_) for r_ in rows)), (r + 1, c + 1), flag)
-
-
 def hecke(w: Word) -> HeckePair:
     """The full correspondence: insert ``w`` letter by letter, recording the
     label ``j`` at the corner produced by the ``j``-th insertion (a new
@@ -132,7 +113,10 @@ def heckeshape(w: Word) -> YoungDiagram:
 
 
 def _reverse_step(rows: list[list[int]], corner: tuple[int, int], flag: int) -> int:
-    """Undo one insertion on mutable ``rows``; returns the recovered letter."""
+    """Undo one insertion on mutable ``rows`` from its 1-based recording
+    ``corner`` and ``flag``: remove the corner value when flag is 1, then
+    walk up replacing the largest smaller entry of each row whenever the
+    result stays increasing, passing that entry up.  Returns the letter."""
     r, c = corner[0] - 1, corner[1] - 1
     if not (
         0 <= r < len(rows)
@@ -158,16 +142,6 @@ def _reverse_step(rows: list[list[int]], corner: tuple[int, int], flag: int) -> 
             row[pos] = y
         y = x
     return y
-
-
-def reverse_hecke(z: IncreasingTableau, corner: tuple[int, int], flag: int) -> tuple[IncreasingTableau, int]:
-    """Reverse insertion applied to ``(z, corner, flag)``: removes the corner
-    value when flag is 1, then walks up replacing the largest smaller entry
-    of each row whenever the result stays increasing, passing that entry up.
-    Returns the modified tableau and the output letter."""
-    rows = [list(row) for row in z.rows]
-    x = _reverse_step(rows, corner, flag)
-    return IncreasingTableau(tuple(tuple(r_) for r_ in rows)), x
 
 
 def hecke_inverse(pq: HeckePair, alphabet_size: int | None = None) -> Word:

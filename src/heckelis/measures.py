@@ -31,10 +31,6 @@ MAX_N = 10
 MAX_Q = 5
 
 
-class ExactModeGuardError(ValueError):
-    """Raised when exact enumeration is asked for parameters past the guard."""
-
-
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact distribution on Young diagrams, rational probabilities."""
@@ -42,15 +38,6 @@ class ExactDistribution:
     n: int
     q: int
     entries: tuple  # ((YoungDiagram, Fraction), ...) in lexicographic shape order
-
-    def prob(self, shape: YoungDiagram) -> Fraction:
-        for s, p in self.entries:
-            if s == shape:
-                return p
-        return Fraction(0)
-
-    def support(self) -> tuple[YoungDiagram, ...]:
-        return tuple(s for s, p in self.entries if p > 0)
 
     def expected_lis(self) -> Fraction:
         """Expectation of the first-row length (equivalently of LIS)."""
@@ -70,7 +57,7 @@ def _check_guard(n: int, q: int):
     if n < 0 or q < 1:
         raise ValueError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
     if n > MAX_N or q > MAX_Q:
-        raise ExactModeGuardError(
+        raise ValueError(
             f"exact mode guard: n <= {MAX_N} and q <= {MAX_Q} required, got n={n}, q={q}"
         )
 
@@ -101,18 +88,6 @@ def exact_plancherel_hecke(n: int, q: int) -> ExactDistribution:
             f"normalizer identity failed: sum of weights {total} != {q}^{n}"
         )
     return ExactDistribution(n, q, tuple(entries))
-
-
-def expected_lis_exact(n: int, q: int) -> Fraction:
-    """Exact expectation of the first-row statistic (equivalently of LIS)."""
-    return exact_plancherel_hecke(n, q).expected_lis()
-
-
-def prob_lis_exact(n: int, q: int, ell: int) -> Fraction:
-    """Exact probability that the first row has length ``ell``."""
-    dist = exact_plancherel_hecke(n, q)
-    first_row = lambda s: s.parts[0] if s.parts else 0
-    return sum((p for s, p in dist.entries if first_row(s) == ell), start=Fraction(0))
 
 
 def plancherel_rsk_prob(shape: YoungDiagram, n: int, q: int) -> Fraction:

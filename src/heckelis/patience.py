@@ -65,14 +65,6 @@ def play_greedy(w: Word, ties: str = TIES_ALLOWED) -> PileState:
     return PileState(tuple(tuple(p) for p in piles), ties, w.alphabet_size)
 
 
-def pile_tops(state: PileState) -> Word:
-    return Word(tuple(pile[-1] for pile in state.piles), state.alphabet_size)
-
-
-def pile_count(state: PileState) -> int:
-    return len(state.piles)
-
-
 @dataclass(frozen=True)
 class DeckStats:
     """Aggregates of a deck simulation."""

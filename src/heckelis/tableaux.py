@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import factorial
-from operator import index, le, lt
+from operator import index, lt
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class YoungDiagram:
     @property
     def size(self) -> int:
         return sum(self.parts)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -82,16 +78,6 @@ def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 def conjugate(shape: YoungDiagram) -> YoungDiagram:
     return YoungDiagram(_conjugate_parts(shape.parts))
-
-
-def corners(shape: YoungDiagram) -> list[tuple[int, int]]:
-    """Removable boxes of the diagram, as 1-based (row, col) pairs."""
-    parts = shape.parts
-    out = []
-    for r, p in enumerate(parts, start=1):
-        if r == len(parts) or parts[r] < p:
-            out.append((r, p))
-    return out
 
 
 def _growths(mu: tuple[int, ...], bound: tuple[int, ...] | None = None):
@@ -139,10 +125,10 @@ def partitions_in_staircase(q: int, max_size: int):
     return [YoungDiagram(parts) for parts in sorted(found)]
 
 
-def _check_filling(rows, row_ok, col_ok) -> None:
-    """Raise ``ValueError`` unless the row lengths form a Young diagram,
-    ``row_ok(left, x)`` holds for each entry ``x`` and its left neighbour,
-    and ``col_ok(above, x)`` for each entry and the entry above it."""
+def _check_filling(rows, less) -> None:
+    """Raise ``ValueError`` unless the row lengths form a Young diagram and
+    ``less(a, x)`` holds for each entry ``x`` and its left and upper
+    neighbours ``a``."""
     widths = [len(r) for r in rows]
     if any(w == 0 for w in widths) or any(
         widths[i] < widths[i + 1] for i in range(len(widths) - 1)
@@ -150,9 +136,9 @@ def _check_filling(rows, row_ok, col_ok) -> None:
         raise ValueError(f"rows {widths} do not form a Young diagram")
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
-            if c and not row_ok(row[c - 1], x):
+            if c and not less(row[c - 1], x):
                 raise ValueError(f"row {r + 1} breaks the row order at column {c + 1}")
-            if r and not col_ok(rows[r - 1][c], x):
+            if r and not less(rows[r - 1][c], x):
                 raise ValueError(f"column {c + 1} breaks the column order at row {r + 1}")
 
 
@@ -169,14 +155,11 @@ class IncreasingTableau:
     def __post_init__(self):
         rows = tuple(tuple(map(index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        _check_filling(rows, lt, lt)
+        _check_filling(rows, lt)
 
     @property
     def shape(self) -> YoungDiagram:
         return YoungDiagram(tuple(len(r) for r in self.rows))
-
-
-EMPTY_INCREASING = IncreasingTableau(())
 
 
 @dataclass(frozen=True)
@@ -200,28 +183,7 @@ class SetValuedStandardTableau:
                 total += len(s)
         if total != self.n or seen != set(range(1, self.n + 1)):
             raise ValueError(f"box sets do not partition 1..{self.n}")
-        _check_filling(rows, _sets_increase, _sets_increase)
-
-    @property
-    def shape(self) -> YoungDiagram:
-        return YoungDiagram(tuple(len(r) for r in self.rows))
-
-
-@dataclass(frozen=True)
-class SemistandardTableau:
-    """Weakly increasing along rows, strictly increasing down columns."""
-
-    rows: tuple[tuple[int, ...], ...]
-    alphabet_size: int
-
-    def __post_init__(self):
-        rows = tuple(tuple(map(index, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        _check_filling(rows, le, lt)
-        for row in rows:
-            for x in row:
-                if not 1 <= x <= self.alphabet_size:
-                    raise ValueError(f"entry {x} outside 1..{self.alphabet_size}")
+        _check_filling(rows, _sets_increase)
 
     @property
     def shape(self) -> YoungDiagram:
@@ -349,16 +311,6 @@ def count_semistandard(shape: YoungDiagram, q: int) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"hook-content product non-integral for {shape.parts}, q={q}")
     return int(value)
-
-
-def reading_word(t: IncreasingTableau, alphabet_size: int | None = None):
-    """Row reading word: rows left to right, bottom row first."""
-    from .words import Word
-
-    letters = tuple(x for row in reversed(t.rows) for x in row)
-    if alphabet_size is None:
-        alphabet_size = max(letters, default=1)
-    return Word(letters, alphabet_size)
 
 
 def superstandard(shape: YoungDiagram) -> IncreasingTableau:

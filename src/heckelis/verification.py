@@ -9,14 +9,20 @@ acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from fractions import Fraction
+from itertools import chain, permutations, product
 
 from .insertion import hecke, hecke_inverse, heckeshape, schensted_shape
 from .kjdt import k_rectify
-from .measures import exact_plancherel_hecke, markov_transition, plancherel_hecke_weights
-from .patience import TIES_ALLOWED, pile_count, pile_tops, play_greedy
+from .measures import (
+    exact_plancherel_hecke,
+    markov_transition,
+    plancherel_hecke_weights,
+    plancherel_rsk_prob,
+)
+from .patience import TIES_ALLOWED, play_greedy
 from .tableaux import YoungDiagram, add_corner, addable_corners, partitions_in_staircase
-from .words import Word, lds, lis, random_word
+from .words import Permutation, Word, lds, lis, random_word
 from .rng import trial_generators
 
 FAST = "fast"
@@ -135,10 +141,10 @@ def check_patience(level: str = FAST) -> SuiteReport:
     max_n, max_q = (7, 4) if level == FULL else (5, 3)
     words = 0
     for w in _words_up_to(max_n, max_q):
-        state = play_greedy(w, TIES_ALLOWED)
+        piles = play_greedy(w, TIES_ALLOWED).piles
         p = hecke(w).p
         first_row = p.rows[0] if p.rows else ()
-        if pile_tops(state).letters != first_row or pile_count(state) != lis(w):
+        if tuple(pile[-1] for pile in piles) != first_row or len(piles) != lis(w):
             return SuiteReport("patience-piles", False, f"failed on {w}")
         words += 1
     return SuiteReport("patience-piles", True, f"{words} words")
@@ -146,9 +152,6 @@ def check_patience(level: str = FAST) -> SuiteReport:
 
 def check_growth_process(level: str = FAST) -> SuiteReport:
     """Transition probabilities sum to one and push the measure forward."""
-    from .measures import plancherel_rsk_prob
-    from fractions import Fraction
-
     max_size, max_q = (8, 5) if level == FULL else (6, 4)
     checked = 0
     for q in range(1, max_q + 1):
@@ -191,10 +194,6 @@ def check_growth_process(level: str = FAST) -> SuiteReport:
 def check_schensted_agreement(level: str = FAST) -> SuiteReport:
     """On permutations the insertion shape matches classical Schensted and
     the recording tableau is all singletons."""
-    from itertools import permutations
-
-    from .words import Permutation
-
     max_m = 6 if level == FULL else 5
     count = 0
     for m in range(1, max_m + 1):

@@ -96,22 +96,6 @@ def patience_lis(letters) -> int:
     return len(tops)
 
 
-def lis_end_positions(w: Word) -> dict[int, int]:
-    """Map ``t -> r(w, t)`` for ``1 <= t <= lis(w)``.
-
-    ``r(w, t)`` is the largest (1-based) index such that the longest strictly
-    increasing subsequence ending at that position has length ``t``.
-    """
-    if not w.letters:
-        raise ValueError("lis_end_positions requires a nonempty word")
-    # a later position overwrites an earlier one; keys first appear as 1, 2, ...
-    return {t: j + 1 for j, t in enumerate(_lis_lengths(w.letters))}
-
-
-def reverse(w: Word) -> Word:
-    return Word(w.letters[::-1], w.alphabet_size)
-
-
 def random_word(n: int, q: int, seed) -> Word:
     """Uniform word of length ``n`` over ``{1, ..., q}``, keyed by ``seed``."""
     if n < 0:

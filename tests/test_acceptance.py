@@ -131,6 +131,8 @@ def test_criterion_05_rectification():
     )
     worked_ok = plain.rows == ((1, 3, 5), (2, 4, 6), (6,))
 
+    # Thomas-Yong '07: K-infusion, hence K-rectification, ends in the same
+    # tableau under every viable switch sequence
     viable_ok = True
     checked = 0
     # the 50 sequences of word `checked` draw from trials 50 * checked to

@@ -24,7 +24,7 @@ from heckelis.asymptotics import (
     word_statistics,
 )
 from heckelis.insertion import heckeshape
-from heckelis.measures import expected_lis_exact
+from heckelis.measures import exact_plancherel_hecke
 from heckelis.rng import trial_stream
 from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, conjugate, staircase
 from heckelis.words import Word, coxeter_length, hecke_product, lds, lis, random_word
@@ -210,7 +210,7 @@ class TestSweep:
         config = SweepConfig(n=5, trials=4000, seed=8, alpha=math.log(3) / math.log(5))
         res = sweep_at(config.n, config.q, config.trials, config.seed)
         assert res.q == 3
-        exact = float(expected_lis_exact(5, 3))
+        exact = float(exact_plancherel_hecke(5, 3).expected_lis())
         sigma = res.sigma_lis / math.sqrt(config.trials)
         assert abs(res.mean_lis - exact) <= 3 * max(sigma, 1e-9)
 

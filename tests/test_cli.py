@@ -100,6 +100,15 @@ class TestExact:
         assert run_cli(["exact", "--n", "40", "--q", "3"]) == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, q", [(11, 3), (4, 6)])
+    def test_guard_message_pinned(self, n, q, capsys):
+        assert run_cli(["exact", "--n", n, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: exact mode guard: n <= 10 and q <= 5 required, got n={n}, q={q}\n"
+        )
+
 
 class TestSample:
     def test_csv_and_determinism(self, tmp_path, capsys):

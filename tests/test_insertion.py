@@ -6,33 +6,30 @@ from hypothesis import given
 import heckelis.insertion as insertion
 from heckelis.insertion import (
     HeckePair,
+    _insert,
+    _reverse_step,
     hecke,
-    hecke_insert,
     hecke_inverse,
     heckeshape,
-    reverse_hecke,
     rsk_shape,
     schensted_shape,
 )
 from heckelis.tableaux import (
-    EMPTY_INCREASING,
     IncreasingTableau,
     SetValuedStandardTableau,
     YoungDiagram,
     conjugate,
-    reading_word,
     staircase,
 )
 from heckelis.words import (
     Permutation,
     Word,
+    _lis_lengths,
     hecke_product,
     lds,
     lis,
-    lis_end_positions,
     longest_element,
     random_word,
-    reverse,
 )
 from heckelis.rng import trial_stream
 
@@ -104,36 +101,29 @@ class TestGoldenExample:
 
 
 class TestHeckeInsert:
+    # _insert mutates the rows and returns the 0-based recording corner and
+    # the flag
     def test_worked_single_insertion(self):
-        t = IncreasingTableau(((1, 3, 5), (2, 4, 6)))
-        step = hecke_insert(t, 3)
-        assert step.tableau.rows == ((1, 3, 5), (2, 4, 6), (6,))
-        assert step.flag == 1
-        assert step.corner == (3, 1)
+        rows = [[1, 3, 5], [2, 4, 6]]
+        assert _insert(rows, 3) == (2, 0, 1)
+        assert rows == [[1, 3, 5], [2, 4, 6], [6]]
 
     def test_empty_tableau(self):
-        step = hecke_insert(EMPTY_INCREASING, 4)
-        assert step.tableau.rows == ((4,),)
-        assert (step.corner, step.flag) == ((1, 1), 1)
+        rows = []
+        assert _insert(rows, 4) == (0, 0, 1)
+        assert rows == [[4]]
 
     def test_tenth_step_leaves_shape_unchanged(self):
         # the state before the 10th insertion of the worked example; the
         # incoming letter there is 1 and the recording corner drops to (5, 1)
-        t = IncreasingTableau(((1, 2, 4, 5), (2, 4), (3,), (4,), (5,)))
-        step = hecke_insert(t, 1)
-        assert step.tableau == t
-        assert step.flag == 0
-        assert step.corner == (5, 1)
+        rows = [[1, 2, 4, 5], [2, 4], [3], [4], [5]]
+        assert _insert(rows, 1) == (4, 0, 0)
+        assert rows == [[1, 2, 4, 5], [2, 4], [3], [4], [5]]
 
     def test_flag_zero_can_still_modify_entries(self):
-        t = IncreasingTableau(((1, 3), (2, 4), (4,)))
-        step = hecke_insert(t, 2)
-        assert step.flag == 0
-        assert step.tableau.rows == ((1, 2), (2, 3), (4,))
-
-    def test_rejects_bad_letter(self):
-        with pytest.raises(ValueError):
-            hecke_insert(EMPTY_INCREASING, 0)
+        rows = [[1, 3], [2, 4], [4]]
+        assert _insert(rows, 2)[2] == 0
+        assert rows == [[1, 2], [2, 3], [4]]
 
 
 class TestHeckeWordLevel:
@@ -156,12 +146,14 @@ class TestHeckeWordLevel:
         assert len(shape.parts) == lds(w) == 2
 
     def test_word_of_p_congruent_to_w(self):
+        # K-Knuth congruence (Buch-Kresch-Shimozono-Tamvakis-Yong): the row
+        # reading word of P, bottom row first, has the Demazure product of w
         for q in range(1, 4):
             for n in range(0, 6):
                 for letters in product(range(1, q + 1), repeat=n):
                     w = Word(letters, q)
-                    p = hecke(w).p
-                    assert hecke_product(reading_word(p, alphabet_size=q)) == hecke_product(w)
+                    reading = Word(tuple(x for row in hecke(w).p.rows[::-1] for x in row), q)
+                    assert hecke_product(reading) == hecke_product(w)
 
     @given(words(max_n=20, max_q=6))
     def test_shape_constraints(self, w):
@@ -172,13 +164,15 @@ class TestHeckeWordLevel:
 
     @given(words(max_n=16, max_q=6))
     def test_first_row_is_end_position_letters(self, w):
+        # Thomas-Yong, behind the first row having length LIS(w): its t-th
+        # entry is the letter at r(w, t), the last position at which the
+        # longest increasing subsequence ending there has length t
         p = hecke(w).p
         if not w.letters:
             assert p.rows == ()
             return
-        r = lis_end_positions(w)
-        expected = tuple(w.letters[r[t] - 1] for t in range(1, lis(w) + 1))
-        assert p.rows[0] == expected
+        at_r = {t: x for t, x in zip(_lis_lengths(w.letters), w.letters)}
+        assert p.rows[0] == tuple(at_r[t] for t in range(1, lis(w) + 1))
 
 
 class TestHeckeshapeEarlyExit:
@@ -233,53 +227,53 @@ class TestHeckeshapeEarlyExit:
         assert calls == list(w.letters)
 
 
+def undone_steps(letters):
+    """Insert ``letters`` one at a time, checking that ``_reverse_step``
+    undoes each step on a copy; yields the rows before and after each step,
+    its 1-based corner and its flag.  The rows after stay increasing."""
+    rows = []
+    for x in letters:
+        before = [row[:] for row in rows]
+        r, c, flag = _insert(rows, x)
+        IncreasingTableau(rows)
+        back = [row[:] for row in rows]
+        assert _reverse_step(back, (r + 1, c + 1), flag) == x and back == before
+        yield before, rows, (r + 1, c + 1), flag
+
+
 class TestReverseHecke:
     def test_single_box(self):
-        t = IncreasingTableau(((9,),))
-        back, x = reverse_hecke(t, (1, 1), 1)
-        assert back == EMPTY_INCREASING and x == 9
+        rows = [[9]]
+        assert _reverse_step(rows, (1, 1), 1) == 9 and rows == []
 
     def test_rejects_non_corner(self):
-        t = IncreasingTableau(((1, 2), (2,)))
         with pytest.raises(ValueError):
-            reverse_hecke(t, (1, 1), 0)
+            _reverse_step([[1, 2], [2]], (1, 1), 0)
 
     def test_inverts_every_forward_step_exhaustively(self):
         for q in range(1, 4):
             for n in range(0, 6):
                 for letters in product(range(1, q + 1), repeat=n):
-                    t = EMPTY_INCREASING
-                    for x in letters:
-                        step = hecke_insert(t, x)
-                        back, recovered = reverse_hecke(step.tableau, step.corner, step.flag)
-                        assert back == t and recovered == x
-                        t = step.tableau
+                    for _ in undone_steps(letters):
+                        pass
 
     @pytest.mark.slow
     def test_inverts_every_forward_step_wide_range(self):
         for q in range(1, 5):
             for n in range(0, 7):
                 for letters in product(range(1, q + 1), repeat=n):
-                    t = EMPTY_INCREASING
-                    for x in letters:
-                        step = hecke_insert(t, x)
-                        if step.flag:
-                            assert step.corner in set(step.tableau.shape.boxes())
-                            assert step.corner not in set(t.shape.boxes())
+                    for before, after, corner, flag in undone_steps(letters):
+                        shape, grown = (IncreasingTableau(t).shape for t in (before, after))
+                        if flag:
+                            assert corner in set(grown.boxes())
+                            assert corner not in set(shape.boxes())
                         else:
-                            assert step.tableau.shape == t.shape
-                        back, recovered = reverse_hecke(step.tableau, step.corner, step.flag)
-                        assert back == t and recovered == x
-                        t = step.tableau
+                            assert grown == shape
 
     @given(words(max_n=14, max_q=6))
     def test_inverts_forward_steps_random(self, w):
-        t = EMPTY_INCREASING
-        for x in w.letters:
-            step = hecke_insert(t, x)
-            back, recovered = reverse_hecke(step.tableau, step.corner, step.flag)
-            assert back == t and recovered == x
-            t = step.tableau
+        for _ in undone_steps(w.letters):
+            pass
 
 
 class TestHeckeInverse:
@@ -322,19 +316,21 @@ class TestHeckeInverse:
 
 class TestMirrorSymmetry:
     def test_first_row_column_swap_exhaustive(self):
+        # the paper's symmetry theorem: reversing w swaps the first row and
+        # the first column of the insertion shape, as LIS and LDS swap
         for q in range(1, 4):
             for n in range(1, 6):
                 for letters in product(range(1, q + 1), repeat=n):
                     w = Word(letters, q)
                     lam = heckeshape(w)
-                    mu = heckeshape(reverse(w))
+                    mu = heckeshape(Word(letters[::-1], q))
                     assert lam.parts[0] == conjugate(mu).parts[0]
                     assert mu.parts[0] == conjugate(lam).parts[0]
 
     def test_insertion_tableaux_not_transposes(self):
         w = Word((1, 3, 4, 2, 2), 4)
         p_fwd = hecke(w).p
-        p_rev = hecke(reverse(w)).p
+        p_rev = hecke(Word(w.letters[::-1], 4)).p
         transposed = tuple(
             tuple(row[c] for row in p_fwd.rows if len(row) > c)
             for c in range(p_fwd.shape.parts[0])
@@ -398,6 +394,6 @@ class TestRandomizedMediumScale:
             q = 2 + t % 8
             w = random_word(n, q, trial_stream(515151, t))
             lam = heckeshape(w)
-            mu = heckeshape(reverse(w))
+            mu = heckeshape(Word(w.letters[::-1], q))
             assert lam.parts[0] == conjugate(mu).parts[0]
             assert mu.parts[0] == conjugate(lam).parts[0]

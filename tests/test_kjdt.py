@@ -135,6 +135,7 @@ def mixed_tableaux(draw):
 class TestSwitchProperties:
     @given(mixed_tableaux(), st.integers(1, 4), st.integers(1, 4))
     def test_involution_where_defined(self, t, i, j):
+        # Thomas-Yong '07: a switch is an involution wherever it is not null
         if t is None:
             return
         once = switch(i, j, t)
@@ -146,6 +147,7 @@ class TestSwitchProperties:
     @given(mixed_tableaux(), st.integers(1, 4), st.integers(1, 4),
            st.integers(1, 4), st.integers(1, 4))
     def test_commutation(self, t, i, r, j, s):
+        # Thomas-Yong '07: switches on disjoint pairs of labels commute
         if t is None or i == j or r == s:
             return
         assert check_commutation(i, r, j, s, t)

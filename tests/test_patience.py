@@ -11,8 +11,6 @@ from heckelis.patience import (
     PileState,
     deal_piles,
     deck_simulation,
-    pile_count,
-    pile_tops,
     play_greedy,
 )
 from heckelis.rng import trial_generators
@@ -29,7 +27,7 @@ class TestWorkedGames:
         deck = Word((8, 2, 6, 3, 4, 1, 7, 10, 9), 10)
         state = play_greedy(deck, "allowed")
         assert state.piles == ((8, 2, 1), (6, 3), (4,), (7,), (10, 9))
-        assert pile_count(state) == 5
+        assert len(state.piles) == 5
 
     def test_twelve_card_ties_forbidden(self):
         state = play_greedy(TWELVE_CARD_WORD, "forbidden")
@@ -38,7 +36,7 @@ class TestWorkedGames:
     def test_twelve_card_ties_allowed(self):
         state = play_greedy(TWELVE_CARD_WORD, "allowed")
         assert state.piles == ((2, 1, 1, 1), (4, 3, 3, 2, 2), (5, 5, 4))
-        assert pile_tops(state).letters == (1, 2, 4)
+        assert tuple(pile[-1] for pile in state.piles) == (1, 2, 4)
 
     def test_strictly_increasing_word(self):
         state = play_greedy(Word((1, 2, 3), 3))
@@ -46,8 +44,7 @@ class TestWorkedGames:
 
     def test_empty_word(self):
         state = play_greedy(Word((), 2))
-        assert pile_count(state) == 0
-        assert pile_tops(state).letters == ()
+        assert state.piles == ()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -75,23 +72,23 @@ class TestAgainstInsertion:
             for n in range(0, 6):
                 for letters in product(range(1, q + 1), repeat=n):
                     w = Word(letters, q)
-                    state = play_greedy(w)
+                    piles = play_greedy(w).piles
                     p = hecke(w).p
                     first_row = p.rows[0] if p.rows else ()
-                    assert pile_tops(state).letters == first_row
-                    assert pile_count(state) == lis(w)
+                    assert tuple(pile[-1] for pile in piles) == first_row
+                    assert len(piles) == lis(w)
 
     @given(words(max_n=60, max_q=8))
     def test_tops_equal_first_row_random(self, w):
-        state = play_greedy(w)
+        piles = play_greedy(w).piles
         p = hecke(w).p
         first_row = p.rows[0] if p.rows else ()
-        assert pile_tops(state).letters == first_row
-        assert pile_count(state) == lis(w)
+        assert tuple(pile[-1] for pile in piles) == first_row
+        assert len(piles) == lis(w)
 
     @given(words(max_n=60, max_q=8))
     def test_pile_count_is_lis(self, w):
-        assert pile_count(play_greedy(w)) == lis(w)
+        assert len(play_greedy(w).piles) == lis(w)
 
     @pytest.mark.slow
     def test_pile_count_is_lis_exhaustive_wide(self):
@@ -99,7 +96,7 @@ class TestAgainstInsertion:
             for n in range(0, 9):
                 for letters in product(range(1, q + 1), repeat=n):
                     w = Word(letters, q)
-                    assert pile_count(play_greedy(w)) == lis(w)
+                    assert len(play_greedy(w).piles) == lis(w)
 
 
 def dealt_piles(deck, positions):

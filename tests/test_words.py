@@ -8,15 +8,14 @@ from heckelis.rng import trial_stream
 from heckelis.words import (
     Permutation,
     Word,
+    _lis_lengths,
     coxeter_length,
     hecke_product,
     lds,
     lis,
-    lis_end_positions,
     longest_element,
     patience_lis,
     random_word,
-    reverse,
 )
 
 from conftest import words
@@ -66,8 +65,10 @@ class TestLisLds:
 
     @given(words(max_n=12, max_q=6))
     def test_reversal_swaps_lis_lds(self, w):
-        assert lis(w) == lds(reverse(w))
-        assert lds(w) == lis(reverse(w))
+        # read backwards, an increasing subsequence is a decreasing one
+        reverse = Word(w.letters[::-1], w.alphabet_size)
+        assert lis(w) == lds(reverse)
+        assert lds(w) == lis(reverse)
 
 
 class TestPatienceLis:
@@ -86,34 +87,26 @@ class TestPatienceLis:
         assert patience_lis([q + 1 - x for x in w.letters]) == lds(w)
 
 
+def end_positions(letters):
+    """r(w, t), 1-based, off the quadratic program: a later position overwrites."""
+    return {t: j for j, t in enumerate(_lis_lengths(letters), start=1)}
+
+
 class TestLisEndPositions:
     def test_worked_word(self):
         # r(w,1)=4, r(w,2)=6, r(w,3)=3 are pinned; r(w,4)=5 frozen from the
         # brute-force enumeration oracle
-        w = Word((2, 3, 4, 1, 5, 2), 5)
-        assert lis_end_positions(w) == {1: 4, 2: 6, 3: 3, 4: 5}
+        assert end_positions((2, 3, 4, 1, 5, 2)) == {1: 4, 2: 6, 3: 3, 4: 5}
 
     def test_single_letter(self):
-        assert lis_end_positions(Word((1,), 1)) == {1: 1}
+        assert end_positions((1,)) == {1: 1}
 
     def test_increasing_run(self):
-        assert lis_end_positions(Word((1, 2, 3), 3)) == {1: 1, 2: 2, 3: 3}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lis_end_positions(Word((), 2))
+        assert end_positions((1, 2, 3)) == {1: 1, 2: 2, 3: 3}
 
     @given(words(max_n=7, max_q=4, min_n=1))
     def test_against_enumeration(self, w):
-        assert lis_end_positions(w) == brute_end_positions(w.letters)
-
-
-class TestReverse:
-    def test_reverses_letters(self):
-        assert reverse(Word((1, 3, 4, 2, 2), 4)).letters == (2, 2, 4, 3, 1)
-
-    def test_empty(self):
-        assert reverse(Word((), 3)) == Word((), 3)
+        assert end_positions(w.letters) == brute_end_positions(w.letters)
 
 
 class TestRandomWord:
