@@ -6,6 +6,14 @@ alphabet tied to the word length, either as ``q = round(n^alpha)`` or
 banker's rounding.  Trials are independent and keyed by ``(seed, trial)``;
 all aggregation is integer sums, so a sweep result is identical for any
 execution order or worker count.
+
+No trial builds a ``Word``: its letters come from its generator as plain
+ints, already in range.  The word kernel (``trial_words``) draws all n in
+one call.  The shape kernel (``trial_shapes``) draws them as it inserts
+them: the q(q+1)/2 letters that any staircase(q) needs first, then chunks
+each twice the one before, and no more once the shape is staircase(q).
+numpy draws the same values in chunks as in one call, so both kernels see
+the letters ``random_word`` gives for the trial's stream.
 """
 
 from __future__ import annotations
@@ -14,13 +22,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .insertion import heckeshape
+from .insertion import shape_parts
 from .rng import trial_generators
-from .tableaux import conjugate, staircase
-from .words import hecke_product, longest_element, patience_lis, random_word
+from .tableaux import YoungDiagram, conjugate, staircase
+from .words import demazure_product, draw_letters, longest_element, patience_lis
 
 
 def round_half_up(x: float) -> int:
@@ -77,7 +86,7 @@ class SweepResult:
 
 
 _BLOCK = 64  # trials per scheduling unit
-_MAX_Q = 2**63 - 1  # random_word draws its letters as numpy int64
+_MAX_Q = 2**63 - 1  # letters are drawn as numpy int64
 
 
 def _check_sizes(n: int, trials: int, q: int | None = None) -> None:
@@ -90,38 +99,55 @@ def _check_sizes(n: int, trials: int, q: int | None = None) -> None:
 
 
 def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
-    """Uniform words of trials ``start .. stop-1``, one at a time; trial
-    ``t`` draws its word from its ``(seed, t)`` stream, taken from
-    ``trial_generators``.  The sizes are checked here, before the first
-    word is drawn."""
+    """Letters of the uniform words of trials ``start .. stop-1``, one list
+    of ints at a time; trial ``t`` draws all ``n`` in one call from its
+    ``(seed, t)`` stream, taken from ``trial_generators``.  The sizes are
+    checked here, before the first letter is drawn."""
     _check_sizes(n, stop - start, q)
-    return (random_word(n, q, rng) for rng in trial_generators(seed, start, stop))
+    return (draw_letters(rng, n, q) for rng in trial_generators(seed, start, stop))
+
+
+def _chunks(rng, n: int, q: int):
+    """The ``n`` letters of one trial in chunks: ``q(q+1)/2`` first, each
+    later chunk twice the one before, the last cut short at ``n``."""
+    size = q * (q + 1) // 2
+    while n > 0:
+        size = min(size, n)
+        yield draw_letters(rng, size, q)
+        n -= size
+        size *= 2
 
 
 def trial_shapes(n: int, q: int, seed: int, stop: int, start: int = 0):
-    """Insertion shapes of the words of ``trial_words``, one at a time."""
-    return (heckeshape(w) for w in trial_words(n, q, seed, stop, start))
+    """Insertion shapes of the words of ``trial_words``, one at a time.
+
+    Each trial's letters are drawn chunk by chunk as they are inserted, and
+    drawing stops once the shape is staircase(q).  A letter adds at most one
+    box, so no trial reaches the staircase before its first chunk ends."""
+    _check_sizes(n, stop - start, q)
+    return (YoungDiagram(shape_parts(chain.from_iterable(_chunks(rng, n, q)), q))
+            for rng in trial_generators(seed, start, stop))
 
 
-def shape_statistics(words, n: int, q: int):
-    """Shape kernel: ``(lis, lds, is staircase(q), column profile)`` of each
-    length-``n`` word over ``{1..q}``, read off its insertion shape."""
+def shape_statistics(shapes, n: int, q: int):
+    """Shape kernel: ``(lis, lds, is staircase(q), column profile)`` of the
+    insertion shape of each length-``n`` word over ``{1..q}``."""
     # a shape has at most n boxes, so staircase(q) is out of reach if q(q+1)/2 > n
     stair = staircase(q).parts if q * (q + 1) // 2 <= n else None
-    for w in words:
-        shape = heckeshape(w)
+    for shape in shapes:
         parts = shape.parts
         yield (parts[0] if parts else 0), len(parts), parts == stair, conjugate(shape).parts
 
 
 def word_statistics(words, n: int, q: int):
-    """Word kernel: the same statistics with no insertion and an empty
-    profile.  The first row of the shape is the LIS, its first column the
-    LDS, and it is staircase(q) exactly when the Demazure product is w0."""
-    w0 = longest_element(q) if q * (q + 1) // 2 <= n else None  # as in shape_statistics
-    for w in words:
-        yield (patience_lis(w.letters), patience_lis([q + 1 - x for x in w.letters]),
-               w0 is not None and hecke_product(w) == w0, ())
+    """Word kernel: the same statistics of the letter lists ``words``, with
+    no insertion and an empty profile.  The first row of the shape is the
+    LIS, its first column the LDS, and it is staircase(q) exactly when the
+    Demazure product is w0."""
+    w0 = longest_element(q).one_line if q * (q + 1) // 2 <= n else None  # as in shape_statistics
+    for letters in words:
+        yield (patience_lis(letters), patience_lis([q + 1 - x for x in letters]),
+               w0 is not None and demazure_product(letters, q) == w0, ())
 
 
 def _add_columns(total: list[int], cols) -> None:
@@ -133,10 +159,13 @@ def _add_columns(total: list[int], cols) -> None:
 
 def _sweep_block(args) -> dict:
     n, q, seed, start, stop, profile = args
-    kernel = shape_statistics if profile else word_statistics
+    if profile:
+        per_trial = shape_statistics(trial_shapes(n, q, seed, stop, start), n, q)
+    else:
+        per_trial = word_statistics(trial_words(n, q, seed, stop, start), n, q)
     sums = {"lis": 0, "lis2": 0, "lds": 0, "lds2": 0, "stair": 0}
     col_sums: list[int] = []
-    for first, rows, stair, cols in kernel(trial_words(n, q, seed, stop, start), n, q):
+    for first, rows, stair, cols in per_trial:
         sums["lis"] += first
         sums["lis2"] += first * first
         sums["lds"] += rows

@@ -9,7 +9,10 @@ the sampling statistic used throughout the package.
 
 Rows are plain Python lists inside the workers; every public function is a
 pure function of its inputs, so calls can run concurrently on distinct
-words.
+words.  ``shape_parts`` is the one shape loop: it reads letters from any
+iterable, so the samplers feed it a trial's letters as they are drawn and
+stop drawing once the shape is final, and ``heckeshape`` feeds it the
+letters of a checked ``Word``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ class HeckePair:
     q: SetValuedStandardTableau
 
     def __post_init__(self):
-        if self.p.shape != self.q.shape:
-            raise ValueError(
-                f"P shape {self.p.shape.parts} differs from Q shape {self.q.shape.parts}"
-            )
+        p_parts = tuple(map(len, self.p.rows))
+        q_parts = tuple(map(len, self.q.rows))
+        if p_parts != q_parts:
+            raise ValueError(f"P shape {p_parts} differs from Q shape {q_parts}")
 
     @property
     def shape(self) -> YoungDiagram:
@@ -96,34 +99,41 @@ def hecke(w: Word) -> HeckePair:
     return HeckePair(p, q)
 
 
-def heckeshape(w: Word) -> YoungDiagram:
-    """Shape of the insertion tableau of ``w``; skips building Q entirely.
+def shape_parts(letters, q: int) -> tuple[int, ...]:
+    """Row lengths of the insertion tableau of ``letters``, each in
+    ``{1..q}``; skips building Q entirely.
 
     An increasing tableau over ``{1..q}`` fits inside staircase(q) and a
     shape never shrinks, so once the flag-1 steps have added its q(q+1)/2
-    boxes the shape is final and the rest of the word is not inserted."""
+    boxes the shape is final: the loop stops there and reads no further
+    letter from ``letters``."""
     rows: list[list[int]] = []
-    q = w.alphabet_size
     missing = q * (q + 1) // 2
-    for x in w.letters:
+    for x in letters:
         missing -= _insert(rows, x)[2]
         if not missing:
             break
-    return YoungDiagram(tuple(len(row) for row in rows))
+    return tuple(len(row) for row in rows)
+
+
+def heckeshape(w: Word) -> YoungDiagram:
+    """Shape of the insertion tableau of ``w``: ``shape_parts`` of its letters."""
+    return YoungDiagram(shape_parts(w.letters, w.alphabet_size))
 
 
 def _reverse_step(rows: list[list[int]], corner: tuple[int, int], flag: int) -> int:
-    """Undo one insertion on mutable ``rows`` from its 1-based recording
-    ``corner`` and ``flag``: remove the corner value when flag is 1, then
-    walk up replacing the largest smaller entry of each row whenever the
-    result stays increasing, passing that entry up.  Returns the letter."""
-    r, c = corner[0] - 1, corner[1] - 1
+    """Undo one insertion on mutable ``rows`` from its recording ``corner``
+    (0-based, as ``_insert`` returns it) and ``flag``: remove the corner
+    value when flag is 1, then walk up replacing the largest smaller entry
+    of each row whenever the result stays increasing, passing that entry
+    up.  Returns the letter."""
+    r, c = corner
     if not (
         0 <= r < len(rows)
         and len(rows[r]) == c + 1
         and (r + 1 == len(rows) or len(rows[r + 1]) <= c)
     ):
-        raise ValueError(f"{corner} is not a corner of the tableau")
+        raise ValueError(f"{corner} (0-based) is not a corner of the tableau")
     y = rows[r][c]
     if flag:
         rows[r].pop()
@@ -162,7 +172,7 @@ def hecke_inverse(pq: HeckePair, alphabet_size: int | None = None) -> Word:
             raise ValueError(f"label {label} appears in {len(hits)} boxes of Q")
         r, c = hits[0]
         flag = 1 if len(qrows[r][c]) == 1 else 0
-        letters.append(_reverse_step(rows, (r + 1, c + 1), flag))
+        letters.append(_reverse_step(rows, (r, c), flag))
         qrows[r][c].discard(label)
         if flag:
             qrows[r].pop()

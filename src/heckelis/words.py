@@ -3,6 +3,12 @@
 A word is a finite sequence over ``{1, ..., q}``.  The Demazure (0-Hecke)
 product sends a word to a permutation of ``{1, ..., q+1}``; words are
 congruent exactly when they share that permutation.
+
+``Word`` checks its letters, and the public functions that take one are
+the package's boundary.  The samplers never build one: they draw a trial's
+letters as a list of ints with ``draw_letters``, already in range, and hand
+it to the letter-level loops (``patience_lis``, ``demazure_product``, and
+``insertion.shape_parts``) that the ``Word`` functions also run.
 """
 
 from __future__ import annotations
@@ -96,6 +102,13 @@ def patience_lis(letters) -> int:
     return len(tops)
 
 
+def draw_letters(rng, n: int, q: int) -> list[int]:
+    """``n`` uniform letters over ``{1, ..., q}`` from the generator ``rng``,
+    in one call.  numpy draws the same values in chunks as in one call, so
+    a caller may also draw a word's letters a chunk at a time."""
+    return rng.integers(1, q + 1, size=n).tolist()
+
+
 def random_word(n: int, q: int, seed) -> Word:
     """Uniform word of length ``n`` over ``{1, ..., q}``, keyed by ``seed``."""
     if n < 0:
@@ -104,24 +117,29 @@ def random_word(n: int, q: int, seed) -> Word:
         raise ValueError(f"q must be >= 1, got {q}")
     if n == 0:
         return Word((), q)
-    rng = generator(seed)
-    letters = rng.integers(1, q + 1, size=n)
-    return Word(tuple(letters.tolist()), q)
+    return Word(draw_letters(generator(seed), n, q), q)
 
 
-def hecke_product(w: Word) -> Permutation:
-    """Demazure product of the simple reflections named by ``w``.
+def demazure_product(letters, q: int) -> tuple[int, ...]:
+    """One-line notation of the Demazure product of the simple reflections
+    named by ``letters``, each in ``{1, ..., q}``.
 
     Multiplication is left to right: the running permutation picks up
     ``s_x`` when position ``x`` is an ascent, and is left unchanged
-    otherwise.  The result lives in the symmetric group on
-    ``alphabet_size + 1`` points.
+    otherwise.  The result lives in the symmetric group on ``q + 1``
+    points.
     """
-    perm = list(range(1, w.alphabet_size + 2))
-    for x in w.letters:
+    perm = list(range(1, q + 2))
+    for x in letters:
         if perm[x - 1] < perm[x]:
             perm[x - 1], perm[x] = perm[x], perm[x - 1]
-    return Permutation(tuple(perm))
+    return tuple(perm)
+
+
+def hecke_product(w: Word) -> Permutation:
+    """Demazure product of the simple reflections named by ``w``, in the
+    symmetric group on ``alphabet_size + 1`` points."""
+    return Permutation(demazure_product(w.letters, w.alphabet_size))
 
 
 def coxeter_length(p: Permutation) -> int:

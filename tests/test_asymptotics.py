@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import accumulate, chain, product
 
 import numpy as np
 import pytest
@@ -25,9 +25,19 @@ from heckelis.asymptotics import (
 )
 from heckelis.insertion import heckeshape
 from heckelis.measures import exact_plancherel_hecke
-from heckelis.rng import trial_stream
+from heckelis.rng import generator, trial_generators, trial_stream
 from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, conjugate, staircase
-from heckelis.words import Word, coxeter_length, hecke_product, lds, lis, random_word
+from heckelis.words import (
+    Word,
+    coxeter_length,
+    demazure_product,
+    draw_letters,
+    hecke_product,
+    lds,
+    lis,
+    longest_element,
+    random_word,
+)
 
 from conftest import words
 from oracles import scalar_plancherel_curve
@@ -272,23 +282,24 @@ class TestKernels:
             for n in range(0, 8):
                 ws = [Word(letters, q) for letters in product(range(1, q + 1), repeat=n)]
                 expected = [_oracle_statistics(w) for w in ws]
-                assert [s[:3] for s in word_statistics(ws, n, q)] == expected
-                assert [s[:3] for s in shape_statistics(ws, n, q)] == expected
+                by_word = word_statistics([w.letters for w in ws], n, q)
+                assert [s[:3] for s in by_word] == expected
+                assert [s[:3] for s in shape_statistics(map(heckeshape, ws), n, q)] == expected
                 count += len(ws)
         assert count == 25_388
 
     @given(words(max_n=40, max_q=8))
     def test_random_words(self, w):
         n, q = len(w), w.alphabet_size
-        (by_word,) = word_statistics([w], n, q)
-        (by_shape,) = shape_statistics([w], n, q)
+        (by_word,) = word_statistics([w.letters], n, q)
+        (by_shape,) = shape_statistics([heckeshape(w)], n, q)
         assert by_word == _oracle_statistics(w) + ((),)
         assert by_shape[:3] == _oracle_statistics(w)
 
     def test_staircase_reached(self):
         w = Word((1, 2, 1), 2)  # q(q+1)/2 = 3 = n, and the shape is (2, 1)
-        assert next(word_statistics([w], 3, 2)) == (2, 2, True, ())
-        assert next(shape_statistics([w], 3, 2)) == (2, 2, True, (2, 1))
+        assert next(word_statistics([w.letters], 3, 2)) == (2, 2, True, ())
+        assert next(shape_statistics([heckeshape(w)], 3, 2)) == (2, 2, True, (2, 1))
 
     @pytest.mark.parametrize("profile", [False, True])
     def test_unreachable_staircase_builds_nothing(self, monkeypatch, profile):
@@ -297,11 +308,86 @@ class TestKernels:
         def fail(*args):
             raise AssertionError("built an O(q) staircase target")
 
-        for name in ("staircase", "longest_element", "hecke_product"):
+        for name in ("staircase", "longest_element", "demazure_product"):
             monkeypatch.setattr(asymptotics, name, fail)
         res = sweep_at(100, 10**6, 3, 5, profile=profile)
         assert res.staircase_fraction == 0.0
         assert res.mean_lis > 1
+
+
+class TestLetterPath:
+    """The samplers read a trial's letters as ints from its stream, and the
+    shape kernel draws them in chunks, only as far as it inserts."""
+
+    @pytest.mark.parametrize("q", [1, 8, 1000, 10**4, 2**40, 2**63 - 1],
+                             ids=["1", "8", "1000", "1e4", "2^40", "2^63-1"])
+    @pytest.mark.parametrize("first", [63, 64, 10**4 + 1])
+    def test_chunked_draws_equal_one_call(self, q, first):
+        n = 10**4
+        whole = draw_letters(generator(trial_stream(7, 3)), n, q)
+        assert len(whole) == n and 1 <= min(whole) and max(whole) <= q
+        # the first chunks do not divide n: 63, 1, 127, then the rest
+        rng = generator(trial_stream(7, 3))
+        split = [draw_letters(rng, size, q) for size in (63, 1, 127, n - 191)]
+        assert list(chain.from_iterable(split)) == whole
+        # the kernel's own chunks, from the block path's re-keyed generator
+        (rng,) = trial_generators(7, 3, 4)
+        sizes = [first * 2**i for i in range(20)]
+        ends = [min(end, n) for end in accumulate(sizes)]
+        chunks = [draw_letters(rng, hi - lo, q) for lo, hi in zip([0] + ends, ends) if hi > lo]
+        assert list(chain.from_iterable(chunks)) == whole
+
+    @pytest.mark.parametrize("q", [1, 3, 8, 40])
+    def test_lazy_shapes_equal_full_words(self, q):
+        boxes = q * (q + 1) // 2
+        for n in sorted({0, 1, boxes - 1, boxes, 10**4}):
+            trials = 4 if n < 10**4 else 2
+            for t, shape in enumerate(trial_shapes(n, q, 11, trials)):
+                assert shape == heckeshape(random_word(n, q, trial_stream(11, t))), (n, t)
+
+    @pytest.mark.parametrize("n, q", [(10**4, 3), (10**4, 8), (400, 20), (200, 30), (50, 1)])
+    def test_draws_stop_at_the_chunk_holding_the_staircase(self, n, q, monkeypatch):
+        drawn = []
+
+        def counted(rng, size, q):
+            drawn.append(size)
+            return draw_letters(rng, size, q)
+
+        monkeypatch.setattr(asymptotics, "draw_letters", counted)
+        (shape,) = trial_shapes(n, q, 5, 1)
+        letters = random_word(n, q, trial_stream(5, 0)).letters
+        boxes = q * (q + 1) // 2
+        w0 = longest_element(q).one_line
+        # the first prefix whose Demazure product is w0 ends the insertion
+        reached = next((m for m in range(boxes, n + 1)
+                        if demazure_product(letters[:m], q) == w0), None)
+        assert (reached is not None) == (shape == staircase(q))
+        if boxes > n:
+            assert drawn == [n]
+            return
+        # q(q+1)/2 letters first, each later chunk twice the one before, cut at n
+        assert drawn == [min(boxes * 2**i, n - boxes * (2**i - 1)) for i in range(len(drawn))]
+        end = sum(drawn)
+        if reached is None:
+            assert end == n
+        else:
+            assert end - drawn[-1] < reached <= end
+
+    def test_sampling_builds_no_word(self, monkeypatch):
+        built = []
+        real = Word.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counted)
+        assert len(list(trial_shapes(300, 6, 3, 10))) == 10
+        sweep_at(300, 6, 10, 3)
+        sweep_at(300, 6, 10, 3, profile=True)
+        assert built == []
+        random_word(3, 2, 1)
+        assert len(built) == 1  # the counter does see a Word being built
 
 
 class TestErdosSzekeres:

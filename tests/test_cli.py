@@ -130,8 +130,10 @@ class TestSample:
         [
             (100, 10, 500, 7, "bf70f60194bb34e1c49966bb86056a7fae8cf55dee74eacb39808abcaca5f108"),
             (60, 3, 200, 11, "f0b11e3c137b005b3f45f42e30852bbb368056f379d0eb8654f9eaca7ce1ed76"),
+            # a first chunk of 465 letters, then a partial 535
+            (1000, 30, 40, 2, "bfdb7cb8381cd030c1db44b90ee1cab41c44c12dc842f75a54f40d789d1939f4"),
         ],
-        ids=["readme", "staircase-q3"],
+        ids=["readme", "staircase-q3", "two-chunks-q30"],
     )
     def test_bytes_pinned(self, n, q, trials, seed, digest, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -233,8 +235,17 @@ class TestCurve:
             (["--n", 2000, "--q", 12, "--trials", 40, "--seed", 3, "--threads", 2],
              "c612974f5067038b7049583108e947b8f3c342f284a1f23e881906f6355fcbe0",
              ("0.446335", "0.083308")),
+            # a first chunk of 210 letters, then a partial 190
+            (["--n", 400, "--q", 20, "--trials", 50, "--seed", 5, "--threads", 1],
+             "28d175efce4361243ad62f64e5da03b06704854e16bbb348a92004f6cc86ba05",
+             ("0.510500", "0.568000")),
+            # the benchmark's curve-staircase command at its recorded seed
+            (["--n", 10000, "--q", 8, "--trials", 300, "--seed", 7, "--threads", 2],
+             "9a109b7f60c4d4f03dbf1905ad43db97efe912233f2ab13ec147e21941399d73",
+             ("0.484502", "0.124987")),
         ],
-        ids=["staircase-q4", "sqrt-q30", "staircase-q12-threads2"],
+        ids=["staircase-q4", "sqrt-q30", "staircase-q12-threads2", "sqrt-q20-two-chunks",
+             "bench-curve-staircase"],
     )
     def test_bytes_pinned(self, args, digest, distances, tmp_path, capsys):
         out = tmp_path / "curve.csv"

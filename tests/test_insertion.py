@@ -230,25 +230,25 @@ class TestHeckeshapeEarlyExit:
 def undone_steps(letters):
     """Insert ``letters`` one at a time, checking that ``_reverse_step``
     undoes each step on a copy; yields the rows before and after each step,
-    its 1-based corner and its flag.  The rows after stay increasing."""
+    its 0-based corner and its flag.  The rows after stay increasing."""
     rows = []
     for x in letters:
         before = [row[:] for row in rows]
         r, c, flag = _insert(rows, x)
         IncreasingTableau(rows)
         back = [row[:] for row in rows]
-        assert _reverse_step(back, (r + 1, c + 1), flag) == x and back == before
-        yield before, rows, (r + 1, c + 1), flag
+        assert _reverse_step(back, (r, c), flag) == x and back == before
+        yield before, rows, (r, c), flag
 
 
 class TestReverseHecke:
     def test_single_box(self):
         rows = [[9]]
-        assert _reverse_step(rows, (1, 1), 1) == 9 and rows == []
+        assert _reverse_step(rows, (0, 0), 1) == 9 and rows == []
 
     def test_rejects_non_corner(self):
-        with pytest.raises(ValueError):
-            _reverse_step([[1, 2], [2]], (1, 1), 0)
+        with pytest.raises(ValueError, match="not a corner"):
+            _reverse_step([[1, 2], [2]], (0, 0), 0)
 
     def test_inverts_every_forward_step_exhaustively(self):
         for q in range(1, 4):
@@ -262,11 +262,12 @@ class TestReverseHecke:
         for q in range(1, 5):
             for n in range(0, 7):
                 for letters in product(range(1, q + 1), repeat=n):
-                    for before, after, corner, flag in undone_steps(letters):
-                        shape, grown = (IncreasingTableau(t).shape for t in (before, after))
+                    for before, after, (r, c), flag in undone_steps(letters):
+                        shape, grown = (IncreasingTableau(t).shape.parts for t in (before, after))
                         if flag:
-                            assert corner in set(grown.boxes())
-                            assert corner not in set(shape.boxes())
+                            # box (r, c) is the one box that grown has and shape lacks
+                            assert shape[r:r + 1] in ((), (c,)) and grown[r] == c + 1
+                            assert sum(grown) == sum(shape) + 1
                         else:
                             assert grown == shape
 
@@ -303,7 +304,7 @@ class TestHeckeInverse:
         # the bijection makes every valid same-shape pair recoverable, so the
         # error surface is the validators: mismatched shapes, non-increasing
         # P, or a Q that is not standard set-valued
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"P shape \(2,\) differs from Q shape \(1, 1\)"):
             HeckePair(
                 IncreasingTableau(((1, 2),)),
                 SetValuedStandardTableau(((frozenset({1}),), (frozenset({2}),)), 2),

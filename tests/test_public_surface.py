@@ -17,6 +17,7 @@ KEPT = {
     "kjdt.switch": "the Thomas-Yong switch; tests check it is an involution and commutes",
     "kjdt.random_viable_sequence": "criterion 5: rectification under random viable sequences",
     "words.coxeter_length": "criterion 11: the length of the witness's Demazure product",
+    "words.hecke_product": "the Demazure product of a Word; bench/run.py bisects prefixes with it",
     "asymptotics.erdos_szekeres_bound": "criterion 11: the Coxeter-length subsequence bound",
     "tableaux.count_increasing": "criteria 1 and 2: the pinned increasing-tableau counts",
     "tableaux.count_set_valued_standard": "criteria 1 and 2: the pinned set-valued counts",
