@@ -7,7 +7,15 @@ computes the same insertion tableau through switch operators, the exact
 shape measures these induce on Young diagrams, and a reproducible Monte
 Carlo harness for the induced LIS/LDS statistics across alphabet-size
 regimes, plus patience sorting with ties.
+
+No package code calls BLAS, so unless ``OPENBLAS_NUM_THREADS`` is already
+set the package sets it to 1 before numpy loads: OpenBLAS then starts no
+idle worker threads, which otherwise cost CPU time in every process.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

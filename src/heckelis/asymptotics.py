@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -197,6 +196,9 @@ def sweep_at(
               for s in range(0, trials, _BLOCK)]
     workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here so that a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_block, blocks))
     else:

@@ -156,18 +156,22 @@ def _reverse_step(rows: list[list[int]], corner: tuple[int, int], flag: int) -> 
 
 def hecke_inverse(pq: HeckePair, alphabet_size: int | None = None) -> Word:
     """Recover the word: repeatedly strip the largest label of Q (flag 1
-    exactly when it sits alone in its box) and reverse-insert from there."""
+    exactly when it sits alone in its box) and reverse-insert from there.
+
+    Each label's boxes come from an index built once from Q.  A box leaves
+    Q only once it is empty and only from the end of its row, so the index
+    stays true for every label not yet stripped."""
     rows = [list(row) for row in pq.p.rows]
     qrows = [[set(s) for s in row] for row in pq.q.rows]
+    boxes: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(qrows):
+        for c, s in enumerate(row):
+            for label in s:
+                boxes.setdefault(label, []).append((r, c))
     n = pq.q.n
     letters: list[int] = []
     for label in range(n, 0, -1):
-        hits = [
-            (r, c)
-            for r, row in enumerate(qrows)
-            for c, s in enumerate(row)
-            if label in s
-        ]
+        hits = boxes.get(label, ())
         if len(hits) != 1:
             raise ValueError(f"label {label} appears in {len(hits)} boxes of Q")
         r, c = hits[0]

@@ -245,6 +245,8 @@ class TestSweep:
     )
     def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, threads, cpus, workers):
         # no real pool is started: the fake records max_workers and maps serially
+        import concurrent.futures
+
         import heckelis.asymptotics as asymptotics
 
         started = []
@@ -262,7 +264,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", FakePool)
+        # sweep_at imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: cpus)
         res = sweep_at(3, 2, 130, 1, threads=threads)  # three blocks of <= 64 trials
         assert started == ([] if workers is None else [workers])

@@ -5,8 +5,12 @@ the package cannot silently break the benchmark or drop a span from it."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import heckelis
 from heckelis.verification import ALL_SUITES
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -26,6 +30,21 @@ def test_every_wrapped_function_exists():
     for module, attr in tracing_constant("WRAPPED"):
         target = getattr(importlib.import_module(f"heckelis.{module}"), attr, None)
         assert callable(target), f"heckelis.{module}.{attr} is gone"
+
+
+def test_cli_import_loads_every_wrapped_module():
+    # Tracer.install finds the modules to patch in sys.modules after the
+    # benchmark imports heckelis.cli, so none of them may load later
+    modules = sorted({module for module, _ in tracing_constant("WRAPPED")})
+    script = f"import heckelis.cli, json, sys; print(json.dumps([m for m in {modules!r} if 'heckelis.' + m not in sys.modules]))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(heckelis.__file__).resolve().parents[1])},
+    )
+    assert out.returncode == 0, f"child exited {out.returncode}; stderr:\n{out.stderr}"
+    assert json.loads(out.stdout) == [], "not loaded by import heckelis.cli"
 
 
 def test_every_traced_suite_runs_in_verify():

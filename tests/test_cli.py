@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -438,6 +439,44 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"{option}: must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def child_after_import(script: str, env: dict[str, str]):
+    """Run ``script`` in a fresh interpreter after ``import heckelis.cli``
+    and return the JSON it prints; the child imports the same heckelis as
+    this process, installed or from src."""
+    package_root = Path(heckelis.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    env["PYTHONPATH"] = str(package_root)
+    out = subprocess.run(
+        [sys.executable, "-c", "import heckelis.cli, json, os, sys; " + script],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, f"child exited {out.returncode}; stderr:\n{out.stderr}"
+    return json.loads(out.stdout)
+
+
+class TestProcessStartup:
+    # no package code calls BLAS or starts a pool on import, so a process
+    # that has imported the CLI runs one thread and has no pool modules
+    SCRIPT = (
+        "print(json.dumps({"
+        "'blas': os.environ.get('OPENBLAS_NUM_THREADS'), "
+        "'threads': len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None, "
+        "'pool': sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules))}))"
+    )
+
+    def test_one_thread_and_no_pool_modules(self):
+        seen = child_after_import(self.SCRIPT, {})
+        assert seen["blas"] == "1"
+        assert seen["threads"] in (1, None)
+        assert seen["pool"] == []
+
+    def test_user_setting_wins(self):
+        seen = child_after_import(self.SCRIPT, {"OPENBLAS_NUM_THREADS": "2"})
+        assert seen["blas"] == "2"
 
 
 class TestSeedEnvOverride:
