@@ -47,6 +47,7 @@ from .insertion import (
     hecke,
     hecke_inverse,
     heckeshape,
+    insertion_tableau,
     rsk_shape,
     schensted_shape,
 )

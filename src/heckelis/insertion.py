@@ -9,10 +9,11 @@ the sampling statistic used throughout the package.
 
 Rows are plain Python lists inside the workers; every public function is a
 pure function of its inputs, so calls can run concurrently on distinct
-words.  ``shape_parts`` is the one shape loop: it reads letters from any
-iterable, so the samplers feed it a trial's letters as they are drawn and
+words.  ``_insertion_rows`` is the one shape loop: it reads letters from
+any iterable and builds P without Q.  ``shape_parts`` reads its row
+lengths, so the samplers feed it a trial's letters as they are drawn and
 stop drawing once the shape is final, and ``heckeshape`` feeds it the
-letters of a checked ``Word``.
+letters of a checked ``Word``; ``insertion_tableau`` keeps its rows.
 """
 
 from __future__ import annotations
@@ -99,21 +100,35 @@ def hecke(w: Word) -> HeckePair:
     return HeckePair(p, q)
 
 
-def shape_parts(letters, q: int) -> tuple[int, ...]:
-    """Row lengths of the insertion tableau of ``letters``, each in
-    ``{1..q}``; skips building Q entirely.
+def _insertion_rows(letters, q: int) -> list[list[int]]:
+    """Rows of the insertion tableau of ``letters``, each in ``{1..q}``;
+    skips building Q entirely.  The one shape loop.
 
     An increasing tableau over ``{1..q}`` fits inside staircase(q) and a
     shape never shrinks, so once the flag-1 steps have added its q(q+1)/2
-    boxes the shape is final: the loop stops there and reads no further
-    letter from ``letters``."""
+    boxes the shape is final, and so is the tableau: staircase(q) has only
+    one increasing filling over ``{1..q}``.  The loop stops there and reads
+    no further letter from ``letters``."""
     rows: list[list[int]] = []
     missing = q * (q + 1) // 2
     for x in letters:
         missing -= _insert(rows, x)[2]
         if not missing:
             break
-    return tuple(len(row) for row in rows)
+    return rows
+
+
+def shape_parts(letters, q: int) -> tuple[int, ...]:
+    """Row lengths of the insertion tableau of ``letters``, each in
+    ``{1..q}``: the lengths of ``_insertion_rows``."""
+    return tuple(len(row) for row in _insertion_rows(letters, q))
+
+
+def insertion_tableau(w: Word) -> IncreasingTableau:
+    """The insertion tableau P of ``w`` without its recording tableau:
+    ``hecke(w).p`` for the price of ``_insertion_rows``."""
+    rows = _insertion_rows(w.letters, w.alphabet_size)
+    return IncreasingTableau(tuple(tuple(row) for row in rows))
 
 
 def heckeshape(w: Word) -> YoungDiagram:

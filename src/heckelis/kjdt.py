@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .rng import generator
-from .tableaux import IncreasingTableau, antidiagonal_cells, staircase, superstandard
+from .tableaux import IncreasingTableau, antidiagonal_cells
 from .words import Word
 
 Cells = dict[tuple[int, int], int]
@@ -82,6 +82,8 @@ def _cells(where: Where) -> Cells:
 
 def _apart(boxes) -> bool:
     """No two of ``boxes`` share a row or a column."""
+    if len(boxes) < 2:  # most label sets of a rectification are one box
+        return True
     return len({r for r, _ in boxes}) == len(boxes) == len({c for _, c in boxes})
 
 
@@ -123,9 +125,13 @@ def switch(i: int, j: int, t: MixedTableau | None) -> MixedTableau | None:
 SwitchSequence = tuple[tuple[int, int], ...]
 
 
+def _standard_pairs(p: int, q: int):
+    return ((i, j) for i in range(p, 0, -1) for j in range(1, q + 1))
+
+
 def standard_sequence(p: int, q: int) -> SwitchSequence:
     """``(p,1)..(p,q), (p-1,1)..(p-1,q), ..., (1,1)..(1,q)``."""
-    return tuple((i, j) for i in range(p, 0, -1) for j in range(1, q + 1))
+    return tuple(_standard_pairs(p, q))
 
 
 def is_viable(seq, p: int, q: int) -> bool:
@@ -167,13 +173,16 @@ def random_viable_sequence(p: int, q: int, seed) -> SwitchSequence:
     return tuple(out)
 
 
-def _infusion_cells(inner: Cells, plain: Cells, sequence=None, plain_alphabet=None) -> Cells:
+def _infuse(inner: Cells, plain: Cells, sequence=None, plain_alphabet=None) -> Where:
+    """The label index after switching the inner filling ``inner`` (positive
+    labels) through ``plain`` by ``sequence``, the standard one by default,
+    which is walked without being built."""
     p = max(inner.values(), default=0)
     q = plain_alphabet if plain_alphabet is not None else max(plain.values(), default=0)
     if q < max(plain.values(), default=0):
         raise ValueError("plain_alphabet smaller than the largest plain label")
     if sequence is None:
-        sequence = standard_sequence(p, q)
+        sequence = _standard_pairs(p, q)
     elif not is_viable(sequence, p, q):
         raise ValueError(f"switch sequence is not viable for p={p}, q={q}")
     if inner.keys() & plain.keys():
@@ -186,21 +195,23 @@ def _infusion_cells(inner: Cells, plain: Cells, sequence=None, plain_alphabet=No
     for i, j in sequence:
         if not _switch(where, i, j):
             raise ValueError("switch sequence hit the null tableau")
-    return _cells(where)
+    return where
 
 
-def _plain_to_tableau(cells: Cells) -> IncreasingTableau:
-    plain = {box: v for box, v in cells.items() if v > 0}
-    if not plain:
-        return IncreasingTableau(())
-    nrows = max(r for r, _ in plain)
-    rows = []
-    for r in range(1, nrows + 1):
-        cols = sorted(c for (rr, c) in plain if rr == r)
-        if cols != list(range(1, len(cols) + 1)):
+def _plain_to_tableau(where: Where) -> IncreasingTableau:
+    """The plain region of the label index ``where`` as a tableau."""
+    rows: dict[int, dict[int, int]] = {}
+    for v, boxes in where.items():
+        if v > 0:
+            for r, c in boxes:
+                rows.setdefault(r, {})[c] = v
+    out = []
+    for r in range(1, max(rows, default=0) + 1):
+        row = rows.get(r, {})
+        if sorted(row) != list(range(1, len(row) + 1)):
             raise ValueError("plain region is not top-left justified")
-        rows.append(tuple(plain[(r, c)] for c in cols))
-    return IncreasingTableau(tuple(rows))
+        out.append(tuple(row[c] for c in range(1, len(row) + 1)))
+    return IncreasingTableau(tuple(out))
 
 
 def k_infusion(
@@ -215,17 +226,33 @@ def k_infusion(
     plain alphabet beyond the largest label actually present.
     """
     inner = {box: a.rows[box[0] - 1][box[1] - 1] for box in a.shape.boxes()}
-    cells = _infusion_cells(inner, dict(b), sequence, plain_alphabet)
-    return _plain_to_tableau(cells), {box: -v for box, v in cells.items() if v < 0}
+    where = _infuse(inner, dict(b), sequence, plain_alphabet)
+    return _plain_to_tableau(where), {
+        box: -v for v, boxes in where.items() if v < 0 for box in boxes
+    }
+
+
+def _superstandard_staircase(m: int) -> Cells:
+    """The cells of ``superstandard(staircase(m))``: row r holds the next
+    m - r + 1 integers.  Built as cells, since the filling is increasing
+    by construction and needs no tableau's check."""
+    cells: Cells = {}
+    v = 0
+    for r in range(1, m + 1):
+        for c in range(1, m - r + 2):
+            v += 1
+            cells[(r, c)] = v
+    return cells
 
 
 def k_rectify(w: Word, sequence=None) -> IncreasingTableau:
     """K-rectification of the antidiagonal tableau of ``w`` driven by the
-    superstandard filling of the inner staircase."""
+    superstandard filling of the inner staircase: the plain region of
+    ``k_infusion``, without building the inner tableau or reading back the
+    inner region."""
     n = len(w.letters)
     if n == 0:
         return IncreasingTableau(())
-    inner = superstandard(staircase(n - 1))
-    outer = antidiagonal_cells(w)
-    plain_part, _ = k_infusion(inner, outer, sequence, plain_alphabet=w.alphabet_size)
-    return plain_part
+    where = _infuse(_superstandard_staircase(n - 1), antidiagonal_cells(w), sequence,
+                    plain_alphabet=w.alphabet_size)
+    return _plain_to_tableau(where)

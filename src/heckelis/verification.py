@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
 
-from .insertion import hecke, hecke_inverse, heckeshape, schensted_shape
+from .insertion import hecke, hecke_inverse, heckeshape, insertion_tableau, schensted_shape
 from .kjdt import k_rectify
 from .measures import (
     exact_plancherel_hecke,
@@ -129,7 +129,7 @@ def check_rectification(level: str = FAST) -> SuiteReport:
     max_n, max_q = (6, 4) if level == FULL else (4, 3)
     words = 0
     for w in _words_up_to(max_n, max_q):
-        if k_rectify(w) != hecke(w).p:
+        if k_rectify(w) != insertion_tableau(w):
             return SuiteReport("k-rectification", False, f"failed on {w}")
         words += 1
     return SuiteReport("k-rectification", True, f"{words} words")
@@ -142,7 +142,7 @@ def check_patience(level: str = FAST) -> SuiteReport:
     words = 0
     for w in _words_up_to(max_n, max_q):
         piles = play_greedy(w, TIES_ALLOWED).piles
-        p = hecke(w).p
+        p = insertion_tableau(w)
         first_row = p.rows[0] if p.rows else ()
         if tuple(pile[-1] for pile in piles) != first_row or len(piles) != lis(w):
             return SuiteReport("patience-piles", False, f"failed on {w}")

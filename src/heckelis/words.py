@@ -81,10 +81,10 @@ def lis(w: Word) -> int:
 
 
 def lds(w: Word) -> int:
-    """Length of the longest strictly decreasing subsequence of ``w``."""
+    """Length of the longest strictly decreasing subsequence of ``w``: the
+    LIS program of ``lis`` run on the flipped letters ``q + 1 - x``."""
     q = w.alphabet_size
-    flipped = Word(tuple(q + 1 - x for x in w.letters), q)
-    return lis(flipped)
+    return max(_lis_lengths([q + 1 - x for x in w.letters]), default=0)
 
 
 def patience_lis(letters) -> int:

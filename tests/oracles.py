@@ -67,21 +67,25 @@ def _boxes(parts):
 
 
 def brute_count_increasing(parts, q) -> int:
+    """Fill the boxes in reading order with values 1..q, dropping a partial
+    filling as soon as a box is not above its left and upper neighbours;
+    count the complete fillings.  A box reads only boxes filled before it,
+    so values left over from an abandoned filling are never read."""
     boxes = _boxes(parts)
-    count = 0
-    for vals in product(range(1, q + 1), repeat=len(boxes)):
-        grid = dict(zip(boxes, vals))
-        ok = True
-        for (r, c), v in grid.items():
-            if (r, c - 1) in grid and grid[(r, c - 1)] >= v:
-                ok = False
-                break
-            if (r - 1, c) in grid and grid[(r - 1, c)] >= v:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    grid = {}
+
+    def fill(k):
+        if k == len(boxes):
+            return 1
+        r, c = boxes[k]
+        floor = max(grid.get((r, c - 1), 0), grid.get((r - 1, c), 0))
+        count = 0
+        for v in range(floor + 1, q + 1):
+            grid[(r, c)] = v
+            count += fill(k + 1)
+        return count
+
+    return fill(0)
 
 
 def brute_count_semistandard(parts, q) -> int:

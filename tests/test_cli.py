@@ -30,6 +30,9 @@ EVERY_SUBCOMMAND = [
 ]
 
 
+VERIFY_FAST_DIGEST = "fbb821451eecc635ab7ebbc228a999512e99404e0d76fbab23d0f5c4cd9c2dca"
+
+
 class TestVerify:
     def test_fast_level_passes_quickly(self, capsys):
         import time
@@ -41,6 +44,9 @@ class TestVerify:
         assert "normalizer-identity" in out
         assert "(n,q)=(4,3) gives 81" in out
         assert "all suites passed" in out
+        # the suites' names and word counts, byte for byte: a changed word
+        # range or suite shows here
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAST_DIGEST
 
     def test_failing_suite_gives_exit_one(self, capsys, monkeypatch):
         import heckelis.verification as verification

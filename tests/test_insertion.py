@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 import heckelis.insertion as insertion
+import heckelis.verification as verification
 from heckelis.insertion import (
     HeckePair,
     _insert,
@@ -11,7 +12,9 @@ from heckelis.insertion import (
     hecke,
     hecke_inverse,
     heckeshape,
+    insertion_tableau,
     rsk_shape,
+    shape_parts,
     schensted_shape,
 )
 from heckelis.tableaux import (
@@ -25,13 +28,15 @@ from heckelis.words import (
     Permutation,
     Word,
     _lis_lengths,
+    draw_letters,
     hecke_product,
     lds,
     lis,
     longest_element,
     random_word,
 )
-from heckelis.rng import trial_stream
+from heckelis.rng import trial_generators, trial_stream
+from heckelis.verification import FAST, _words_up_to, check_patience, check_rectification
 
 from conftest import words
 
@@ -225,6 +230,43 @@ class TestHeckeshapeEarlyExit:
         calls = self._count_inserts(monkeypatch)
         assert heckeshape(w) != staircase(w.alphabet_size)
         assert calls == list(w.letters)
+
+
+class TestInsertionTableau:
+    """``insertion_tableau`` builds P alone, through the loop of ``shape_parts``."""
+
+    def test_matches_hecke_exhaustive(self):
+        words = 0
+        for w in _words_up_to(7, 4):
+            p = insertion_tableau(w)
+            assert p == hecke(w).p
+            assert shape_parts(w.letters, w.alphabet_size) == tuple(map(len, p.rows))
+            words += 1
+        assert words == 25_388
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_matches_hecke_past_the_staircase(self, q):
+        # long enough words reach staircase(q), where the loop stops early
+        reached = 0
+        for t, rng in enumerate(trial_generators(2718 + q, 0, 400)):
+            w = Word(draw_letters(rng, 1 + t % 60, q), q)
+            p = insertion_tableau(w)
+            assert p == hecke(w).p
+            assert shape_parts(w.letters, q) == tuple(map(len, p.rows))
+            reached += p.shape == staircase(q)
+        assert reached >= 100
+
+    @pytest.mark.parametrize("suite", [check_patience, check_rectification])
+    def test_suites_catch_a_wrong_tableau(self, suite, monkeypatch):
+        def last_box_dropped(w):
+            rows = insertion_tableau(w).rows
+            if rows:
+                rows = rows[:-1] + ((rows[-1][:-1],) if len(rows[-1]) > 1 else ())
+            return IncreasingTableau(rows)
+
+        monkeypatch.setattr(verification, "insertion_tableau", last_box_dropped)
+        report = suite(FAST)
+        assert not report.passed and report.detail.startswith("failed on")
 
 
 def undone_steps(letters):

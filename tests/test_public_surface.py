@@ -16,6 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "heckelis"
 KEPT = {
     "kjdt.switch": "the Thomas-Yong switch; tests check it is an involution and commutes",
     "kjdt.random_viable_sequence": "criterion 5: rectification under random viable sequences",
+    "kjdt.k_infusion": "criterion 5: the worked infusion example; k_rectify runs its switches without it",
+    "tableaux.superstandard": "the inner filling of k_infusion's tests against the full-scan switch",
     "words.coxeter_length": "criterion 11: the length of the witness's Demazure product",
     "words.hecke_product": "the Demazure product of a Word; bench/run.py bisects prefixes with it",
     "asymptotics.erdos_szekeres_bound": "criterion 11: the Coxeter-length subsequence bound",

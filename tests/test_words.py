@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from heckelis.rng import trial_stream
+from heckelis.rng import trial_generators, trial_stream
 from heckelis.words import (
     Permutation,
     Word,
@@ -130,8 +130,9 @@ class TestRandomWord:
         # 3 sigma binomial band per letter over 1e5 draws of length 100, q=4
         draws, n, q = 100_000, 100, 4
         counts = [0] * (q + 1)
-        for t in range(draws):
-            for x in random_word(n, q, trial_stream(777, t)).letters:
+        # trial t's generator starts where trial_stream(777, t) does (test_rng.py)
+        for rng in trial_generators(777, 0, draws):
+            for x in random_word(n, q, rng).letters:
                 counts[x] += 1
         total = draws * n
         p = 1 / q
