@@ -31,51 +31,27 @@ from .tableaux import YoungDiagram, conjugate, staircase
 from .words import demazure_product, draw_letters, longest_element, patience_lis
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Parameters of one sweep row; exactly one of ``alpha``/``k`` is set."""
-
-    n: int
-    trials: int
-    seed: int
-    alpha: float | None = None
-    k: float | None = None
-
-    def __post_init__(self):
-        if (self.alpha is None) == (self.k is None):
-            raise ValueError("exactly one of alpha and k must be given")
-        for name, value in (("alpha", self.alpha), ("k", self.k)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        _check_sizes(self.n, self.trials)
-        try:
-            q = self.q
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"q is out of range at n={self.n}, {self.mode_label}") from None
-        if q < 1:
-            raise ValueError(f"q rounds to {q}, must be >= 1")
-
-    @property
-    def q(self) -> int:
-        if self.alpha is not None:
-            return round_half_up(self.n**self.alpha)
-        return round_half_up(self.k * math.sqrt(self.n))
-
-    @property
-    def mode_label(self) -> str:
-        if self.alpha is not None:
-            return f"alpha={self.alpha:g}"
-        return f"k={self.k:g}"
+def grid_q(n: int, *, alpha: float | None = None, k: float | None = None) -> int:
+    """The alphabet size of one sweep row, ``round(n^alpha)`` or
+    ``round(k * sqrt(n))``, rounded half up; exactly one of ``alpha`` and
+    ``k`` is given."""
+    if (alpha is None) == (k is None):
+        raise ValueError("exactly one of alpha and k must be given")
+    name, value = ("alpha", alpha) if k is None else ("k", k)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    _check_sizes(n)
+    try:
+        q = math.floor((n**alpha if k is None else k * math.sqrt(n)) + 0.5)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"q is out of range at n={n}, {name}={value:g}") from None
+    if q < 1:
+        raise ValueError(f"q rounds to {q}, must be >= 1")
+    return q
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    q: int
-    trials: int
     mean_lis: float
     sigma_lis: float
     mean_lds: float
@@ -88,8 +64,9 @@ _BLOCK = 64  # trials per scheduling unit
 _MAX_Q = 2**63 - 1  # letters are drawn as numpy int64
 
 
-def _check_sizes(n: int, trials: int, q: int | None = None) -> None:
-    """The one check of a sampling run's sizes; ``q`` is checked if given."""
+def _check_sizes(n: int, trials: int | None = None, q: int | None = None) -> None:
+    """The one check of a sampling run's sizes; ``trials`` and ``q`` are
+    checked if given."""
     for name, value, low in (("n", n, 0), ("q", q, 1), ("trials", trials, 1)):
         if value is not None and value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -156,22 +133,24 @@ def _add_columns(total: list[int], cols) -> None:
         total[c] += v
 
 
-def _sweep_block(args) -> dict:
+def _sweep_block(args) -> tuple[tuple[int, ...], list[int]]:
+    """The sums of lis, lis^2, lds, lds^2 and staircase hits over a block of
+    trials, and its column sums."""
     n, q, seed, start, stop, profile = args
     if profile:
         per_trial = shape_statistics(trial_shapes(n, q, seed, stop, start), n, q)
     else:
         per_trial = word_statistics(trial_words(n, q, seed, stop, start), n, q)
-    sums = {"lis": 0, "lis2": 0, "lds": 0, "lds2": 0, "stair": 0}
+    lis = lis2 = lds = lds2 = hits = 0
     col_sums: list[int] = []
     for first, rows, stair, cols in per_trial:
-        sums["lis"] += first
-        sums["lis2"] += first * first
-        sums["lds"] += rows
-        sums["lds2"] += rows * rows
-        sums["stair"] += stair
+        lis += first
+        lis2 += first * first
+        lds += rows
+        lds2 += rows * rows
+        hits += stair
         _add_columns(col_sums, cols)
-    return {"sums": sums, "profile": col_sums}
+    return (lis, lis2, lds, lds2, hits), col_sums
 
 
 def sweep_at(
@@ -204,12 +183,10 @@ def sweep_at(
     else:
         results = [_sweep_block(b) for b in blocks]
 
-    sums = {"lis": 0, "lis2": 0, "lds": 0, "lds2": 0, "stair": 0}
+    lis, lis2, lds, lds2, hits = map(sum, zip(*(sums for sums, _ in results)))
     col_sums: list[int] = []
-    for res in results:
-        for key in sums:
-            sums[key] += res["sums"][key]
-        _add_columns(col_sums, res["profile"])
+    for _, cols in results:
+        _add_columns(col_sums, cols)
 
     def stats(total: int, total_sq: int) -> tuple[float, float]:
         mean = total / trials
@@ -218,16 +195,14 @@ def sweep_at(
         var = (total_sq - total * total / trials) / (trials - 1)
         return mean, math.sqrt(max(var, 0.0))
 
-    mean_lis, sigma_lis = stats(sums["lis"], sums["lis2"])
-    mean_lds, sigma_lds = stats(sums["lds"], sums["lds2"])
+    mean_lis, sigma_lis = stats(lis, lis2)
+    mean_lds, sigma_lds = stats(lds, lds2)
     return SweepResult(
-        q=q,
-        trials=trials,
         mean_lis=mean_lis,
         sigma_lis=sigma_lis,
         mean_lds=mean_lds,
         sigma_lds=sigma_lds,
-        staircase_fraction=sums["stair"] / trials,
+        staircase_fraction=hits / trials,
         mean_profile=tuple(v / trials for v in col_sums),
     )
 
@@ -323,7 +298,10 @@ def line_curve(x):
     return _scalar_or_array(np.where(xs < 1.0, 1.0 - xs, 0.0))
 
 
-def sup_norm_distance(f: ShapeFunction, curve, grid_points: int = 10**4) -> float:
+_SUP_GRID_POINTS = 10**4  # the uniform grid of sup_norm_distance
+
+
+def sup_norm_distance(f: ShapeFunction, curve) -> float:
     """Max absolute difference between the shape function and a reference
     curve, over a uniform grid plus the shape's breakpoints.
 
@@ -333,7 +311,7 @@ def sup_norm_distance(f: ShapeFunction, curve, grid_points: int = 10**4) -> floa
     the piecewise-linear forms enter the maximum.
     """
     hi = max(f.max_support, 1.0)
-    xs = np.concatenate([np.linspace(0.0, hi, grid_points), f.breakpoints()])
+    xs = np.concatenate([np.linspace(0.0, hi, _SUP_GRID_POINTS), f.breakpoints()])
     xs = xs[xs <= hi + 1e-12]
     ref = curve(xs)
     diff_step = np.abs(f.step(xs) - ref)

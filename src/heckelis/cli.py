@@ -35,8 +35,8 @@ from . import __version__
 from .asymptotics import (
     SQRT_REGIME,
     STAIRCASE_REGIME,
-    SweepConfig,
     _check_sizes,
+    grid_q,
     line_curve,
     plancherel_curve,
     profile_function,
@@ -173,18 +173,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _sweep_configs(args):
-    configs = []
-    for alpha in args.alpha_grid or []:
-        configs.append(SweepConfig(n=args.n, trials=args.trials, seed=args.seed, alpha=alpha))
-    for k in args.k_grid or []:
-        configs.append(SweepConfig(n=args.n, trials=args.trials, seed=args.seed, k=k))
-    return configs
-
-
 def cmd_sweep(args) -> int:
-    configs = _sweep_configs(args)
-    if not configs:
+    # every row's q is worked out, and so checked, before the first row is sampled
+    grid = [(f"alpha={alpha:g}", grid_q(args.n, alpha=alpha)) for alpha in args.alpha_grid or []]
+    grid += [(f"k={k:g}", grid_q(args.n, k=k)) for k in args.k_grid or []]
+    if not grid:
         print("error: provide --alpha-grid and/or --k-grid", file=sys.stderr)
         return USAGE_ERROR
     params = {
@@ -195,9 +188,9 @@ def cmd_sweep(args) -> int:
         "snapshots": args.snapshots,
     }
     rows = []
-    for config in configs:
-        res = sweep_at(config.n, config.q, config.trials, config.seed, threads=args.threads)
-        rows.append([config.n, res.q, config.mode_label, config.trials,
+    for label, q in grid:
+        res = sweep_at(args.n, q, args.trials, args.seed, threads=args.threads)
+        rows.append([args.n, q, label, args.trials,
                      _fmt(res.mean_lis), _fmt(res.mean_lds),
                      _fmt(res.sigma_lis), _fmt(res.sigma_lds),
                      _fmt(res.staircase_fraction)])

@@ -154,14 +154,16 @@ def is_viable(seq, p: int, q: int) -> bool:
 def random_viable_sequence(p: int, q: int, seed) -> SwitchSequence:
     """Uniformly random linear extension step: at each point pick one of the
     currently emittable pairs.  The ready inner labels are kept sorted;
-    emitting (i, j) can make only i (now at j + 1) and i - 1 ready."""
+    emitting (i, j) can make only i (now at j + 1) and i - 1 ready.  The
+    p*q uniform draws come from one call; a step with draw u takes the
+    ready label at position ``int(u * len(ready))``."""
     rng = generator(seed)
     next_j = {i: 1 for i in range(1, p + 1)}
     next_i = {j: p for j in range(1, q + 1)}
     ready = [p]  # (p, 1) comes first
     out = []
-    for _ in range(p * q):
-        i = ready.pop(int(rng.integers(len(ready))))
+    for u in rng.random(p * q).tolist():
+        i = ready.pop(int(u * len(ready)))
         j = next_j[i]
         out.append((i, j))
         next_j[i] += 1

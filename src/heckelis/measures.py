@@ -35,8 +35,6 @@ MAX_Q = 5
 class ExactDistribution:
     """Exact distribution on Young diagrams, rational probabilities."""
 
-    n: int
-    q: int
     entries: tuple  # ((YoungDiagram, Fraction), ...) in lexicographic shape order
 
     def expected_lis(self) -> Fraction:
@@ -87,7 +85,7 @@ def exact_plancherel_hecke(n: int, q: int) -> ExactDistribution:
         raise AssertionError(
             f"normalizer identity failed: sum of weights {total} != {q}^{n}"
         )
-    return ExactDistribution(n, q, tuple(entries))
+    return ExactDistribution(tuple(entries))
 
 
 def plancherel_rsk_prob(shape: YoungDiagram, n: int, q: int) -> Fraction:

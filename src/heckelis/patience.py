@@ -31,7 +31,6 @@ class PileState:
 
     piles: tuple[tuple[int, ...], ...]
     ties: str
-    alphabet_size: int
 
     def __post_init__(self):
         if self.ties not in (TIES_ALLOWED, TIES_FORBIDDEN):
@@ -62,17 +61,13 @@ def play_greedy(w: Word, ties: str = TIES_ALLOWED) -> PileState:
         else:
             piles[idx].append(x)
             tops[idx] = x
-    return PileState(tuple(tuple(p) for p in piles), ties, w.alphabet_size)
+    return PileState(tuple(tuple(p) for p in piles), ties)
 
 
 @dataclass(frozen=True)
 class DeckStats:
     """Aggregates of a deck simulation."""
 
-    ranks: int
-    copies_per_rank: int
-    trials: int
-    seed: int
     histogram: dict  # pile count -> number of trials
     mean_piles: float
     mean_pile_sizes: tuple[float, ...]  # by position; absent piles count 0
@@ -145,10 +140,6 @@ def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) ->
     counts = histogram.tolist()
     most = max(k for k, c in enumerate(counts) if c)
     return DeckStats(
-        ranks=ranks,
-        copies_per_rank=copies_per_rank,
-        trials=trials,
-        seed=seed,
         histogram={k: c for k, c in enumerate(counts) if c},
         mean_piles=sum(k * c for k, c in enumerate(counts)) / trials,
         mean_pile_sizes=tuple(s / trials for s in size_sums[:most].tolist()),

@@ -207,13 +207,13 @@ def scan_viable_sequence(p, q, seed):
     next_j = {i: 1 for i in range(1, p + 1)}
     next_i = {j: p for j in range(1, q + 1)}
     out = []
-    for _ in range(p * q):
+    for u in rng.random(p * q).tolist():
         ready = [
             (i, next_j[i])
             for i in range(1, p + 1)
             if next_j[i] <= q and next_i[next_j[i]] == i
         ]
-        i, j = ready[int(rng.integers(len(ready)))]
+        i, j = ready[int(u * len(ready))]
         out.append((i, j))
         next_j[i] += 1
         next_i[j] -= 1
@@ -245,10 +245,6 @@ def scalar_deck_simulation(ranks, copies_per_rank, trials, seed) -> DeckStats:
         for i, pile in enumerate(piles):
             size_sums[i] += len(pile)
     return DeckStats(
-        ranks=ranks,
-        copies_per_rank=copies_per_rank,
-        trials=trials,
-        seed=seed,
         histogram=dict(sorted(histogram.items())),
         mean_piles=pile_total / trials,
         mean_pile_sizes=tuple(s / trials for s in size_sums),

@@ -12,8 +12,8 @@ from itertools import product
 import pytest
 
 from heckelis.asymptotics import (
-    SweepConfig,
     erdos_szekeres_bound,
+    grid_q,
     shape_statistics,
     sweep_at,
     trial_shapes,
@@ -278,25 +278,23 @@ def test_criterion_10_scaled_lis_table():
     failures = []
     rows = []
 
-    def run(config):
-        return sweep_at(config.n, config.q, config.trials, config.seed)
-
     for k, target in [(0.5, 0.25), (1.0, 0.5), (2.0, 0.75)]:
-        res = run(SweepConfig(n=n, trials=50, seed=int(10 * k), k=k))
+        res = sweep_at(n, grid_q(n, k=k), 50, int(10 * k))
         ratio = res.mean_lis / scale
         rows.append(f"k={k}: {ratio:.3f}")
         if abs(ratio - target) > 0.05:
             failures.append(f"k={k} ratio {ratio:.3f} vs {target}")
 
-    res = run(SweepConfig(n=n, trials=50, seed=77, alpha=1.0))
+    res = sweep_at(n, grid_q(n, alpha=1.0), 50, 77)
     ratio = res.mean_lis / scale
     rows.append(f"alpha=1: {ratio:.3f}")
     if not 0.93 <= ratio <= 1.00:
         failures.append(f"alpha=1 ratio {ratio:.3f}")
 
-    res = run(SweepConfig(n=n, trials=50, seed=45, alpha=0.45))
+    q = grid_q(n, alpha=0.45)
+    res = sweep_at(n, q, 50, 45)
     rows.append(f"alpha=0.45: mean {res.mean_lis:.2f} sigma {res.sigma_lis:.2f}")
-    if not (res.q == 63 and res.mean_lis == 63.0 and res.sigma_lis == 0.0):
+    if not (q == 63 and res.mean_lis == 63.0 and res.sigma_lis == 0.0):
         failures.append(f"alpha=0.45 gave mean {res.mean_lis}, sigma {res.sigma_lis}")
 
     elapsed = time.perf_counter() - start

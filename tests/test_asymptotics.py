@@ -10,13 +10,12 @@ from heckelis.asymptotics import (
     SQRT_REGIME,
     STAIRCASE_REGIME,
     ShapeFunction,
-    SweepConfig,
     beta,
     erdos_szekeres_bound,
+    grid_q,
     line_curve,
     plancherel_curve,
     profile_function,
-    round_half_up,
     shape_statistics,
     sup_norm_distance,
     sweep_at,
@@ -44,39 +43,41 @@ from oracles import scalar_plancherel_curve
 
 
 class TestSweepConfig:
+    # grid_q: the alphabet size of one sweep row
     def test_alpha_mode_q(self):
-        assert SweepConfig(n=10_000, trials=1, seed=0, alpha=0.45).q == 63
+        assert grid_q(10_000, alpha=0.45) == 63
 
     def test_k_mode_q(self):
-        assert SweepConfig(n=10_000, trials=1, seed=0, k=2.0).q == 200
-        assert SweepConfig(n=400, trials=1, seed=0, k=0.5).q == 10
+        assert grid_q(10_000, k=2.0) == 200
+        assert grid_q(400, k=0.5) == 10
 
     def test_rounding_is_half_up(self):
-        assert round_half_up(2.5) == 3
-        assert round_half_up(3.5) == 4
+        # k * sqrt(4) is 2.5 and 3.5 exactly; rounding half to even gives 2 and 4
+        assert grid_q(4, k=1.25) == 3
+        assert grid_q(4, k=1.75) == 4
 
     def test_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            SweepConfig(n=100, trials=1, seed=0)
-        with pytest.raises(ValueError):
-            SweepConfig(n=100, trials=1, seed=0, alpha=0.5, k=1.0)
+        with pytest.raises(ValueError, match="exactly one of alpha and k"):
+            grid_q(100)
+        with pytest.raises(ValueError, match="exactly one of alpha and k"):
+            grid_q(100, alpha=0.5, k=1.0)
 
     def test_q_must_round_positive(self):
-        with pytest.raises(ValueError):
-            SweepConfig(n=100, trials=1, seed=0, k=0.01)
+        with pytest.raises(ValueError, match="q rounds to 0, must be >= 1"):
+            grid_q(100, k=0.01)
 
     @pytest.mark.parametrize("mode", ["alpha", "k"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, mode, value):
         with pytest.raises(ValueError, match=f"{mode} must be finite"):
-            SweepConfig(n=100, trials=1, seed=0, **{mode: value})
+            grid_q(100, **{mode: value})
 
     @pytest.mark.parametrize(
         "n, mode, value", [(100, "alpha", 200.0), (100, "k", 1e308), (0, "alpha", -1.0)]
     )
     def test_q_out_of_range_rejected(self, n, mode, value):
         with pytest.raises(ValueError, match="q is out of range"):
-            SweepConfig(n=n, trials=1, seed=0, **{mode: value})
+            grid_q(n, **{mode: value})
 
 
 class TestRescale:
@@ -209,28 +210,28 @@ class TestBeta:
 
 class TestSweep:
     def test_unary_alphabet_row(self):
-        config = SweepConfig(n=50, trials=30, seed=4, alpha=0.0)
-        res = sweep_at(config.n, config.q, config.trials, config.seed)
-        assert res.q == 1
+        q = grid_q(50, alpha=0.0)
+        assert q == 1
+        res = sweep_at(50, q, 30, 4)
         assert res.mean_lis == 1.0 and res.sigma_lis == 0.0
         assert res.mean_lds == 1.0 and res.sigma_lds == 0.0
         assert res.staircase_fraction == 1.0
 
     def test_matches_exact_expectation(self):
-        config = SweepConfig(n=5, trials=4000, seed=8, alpha=math.log(3) / math.log(5))
-        res = sweep_at(config.n, config.q, config.trials, config.seed)
-        assert res.q == 3
+        q = grid_q(5, alpha=math.log(3) / math.log(5))
+        assert q == 3
+        res = sweep_at(5, q, 4000, 8)
         exact = float(exact_plancherel_hecke(5, 3).expected_lis())
-        sigma = res.sigma_lis / math.sqrt(config.trials)
+        sigma = res.sigma_lis / math.sqrt(4000)
         assert abs(res.mean_lis - exact) <= 3 * max(sigma, 1e-9)
 
     def test_deterministic_and_thread_independent(self):
-        config = SweepConfig(n=60, trials=130, seed=12, k=1.0)
-        serial = sweep_at(config.n, config.q, config.trials, config.seed, threads=1)
-        parallel = sweep_at(config.n, config.q, config.trials, config.seed, threads=2)
+        q = grid_q(60, k=1.0)
+        serial = sweep_at(60, q, 130, 12, threads=1)
+        parallel = sweep_at(60, q, 130, 12, threads=2)
         assert serial == parallel
-        profiled = sweep_at(60, config.q, 130, 12, threads=2, profile=True)
-        assert profiled == sweep_at(60, config.q, 130, 12, threads=1, profile=True)
+        profiled = sweep_at(60, q, 130, 12, threads=2, profile=True)
+        assert profiled == sweep_at(60, q, 130, 12, threads=1, profile=True)
         assert profiled.mean_profile and not serial.mean_profile
 
     def test_trial_shapes_limited_and_ordered(self):
@@ -444,8 +445,8 @@ class TestLargeSubcriticalBand:
     def test_lis_pins_to_alphabet_at_reduced_trials(self):
         # the 50k-letter row at exponent 0.45: every sample's LIS equals
         # q = 130 and the deviation vanishes (band check at 3 trials)
-        config = SweepConfig(n=50_000, trials=3, seed=130, alpha=0.45)
-        res = sweep_at(config.n, config.q, config.trials, config.seed)
-        assert res.q == 130
+        q = grid_q(50_000, alpha=0.45)
+        assert q == 130
+        res = sweep_at(50_000, q, 3, 130)
         assert res.mean_lis == 130.0
         assert res.sigma_lis == 0.0

@@ -191,6 +191,16 @@ class TestSweep:
             files.append(out.read_bytes())
         assert files[0] == files[1]
 
+    # both grids, with q from 4 to 400; the digest holds at any thread count
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bytes_pinned(self, threads, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--n", "400", "--alpha-grid", "0.25", "0.45", "0.5", "0.75",
+                        "1.0", "--k-grid", "0.5", "1", "2", "--trials", "20", "--seed", "7",
+                        "--threads", threads, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b38317431f61294e370b6b935dd5baab8377340ea18d6af7685e0e4e4ec06e84")
+
     def test_requires_a_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--n", "10", "--trials", "2", "--out", out]) == 2
@@ -382,6 +392,25 @@ class TestUsageErrors:
     def test_sweep_names_the_bad_size(self, n, trials, message, tmp_path, capsys):
         assert run_cli(["sweep", "--n", n, "--alpha-grid", "0.5", "--trials", trials,
                         "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--n", "-3", "--k-grid", "1"], "n must be >= 0, got -3"),
+            (["--n", "100", "--k-grid", "0"], "q rounds to 0, must be >= 1"),
+            (["--n", "100", "--k-grid", "nan"], "k must be finite, got nan"),
+            (["--n", "100", "--alpha-grid", "200"], "q is out of range at n=100, alpha=200"),
+            (["--n", "100", "--alpha-grid", "0.5", "--k-grid", "inf"],
+             "k must be finite, got inf"),
+        ],
+        ids=["negative-n", "q-rounds-to-0", "nan", "q-overflow", "second-grid"],
+    )
+    def test_sweep_grid_error_before_sampling(self, grid, message, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(cli, "sweep_at", lambda *a, **k: pytest.fail("sampled"))
+        assert run_cli(["sweep", *grid, "--trials", "1", "--out", tmp_path / "x.csv"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 

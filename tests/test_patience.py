@@ -54,16 +54,16 @@ class TestWorkedGames:
 class TestPileStateValidation:
     def test_rejects_increasing_pile(self):
         with pytest.raises(ValueError):
-            PileState(((1, 2),), "allowed", 2)
+            PileState(((1, 2),), "allowed")
 
     def test_rejects_tie_in_forbidden_mode(self):
         with pytest.raises(ValueError):
-            PileState(((2, 2),), "forbidden", 2)
-        PileState(((2, 2),), "allowed", 2)
+            PileState(((2, 2),), "forbidden")
+        PileState(((2, 2),), "allowed")
 
     def test_rejects_decreasing_tops(self):
         with pytest.raises(ValueError):
-            PileState(((3,), (1,)), "allowed", 3)
+            PileState(((3,), (1,)), "allowed")
 
 
 class TestAgainstInsertion:

@@ -1,9 +1,10 @@
 """The package's public surface is what its own code reaches.  Every public
 module-level function or class under ``src/heckelis`` must be named by
-package code outside its own definition and outside the ``__init__``
-exports, be wrapped by name in the benchmark's traced run, or be listed in
-``KEPT`` with the reason it stays.  A name that only tests reach belongs
-in ``tests/``; these tests read the sources without importing them."""
+package code outside its own definition, be wrapped by name in the
+benchmark's traced run, or be listed in ``KEPT`` with the reason it stays.
+A name that only tests reach belongs in ``tests/``.  Names are imported
+from their submodules, so ``__init__`` binds none.  These tests read the
+sources without importing them."""
 
 import ast
 from pathlib import Path
@@ -41,10 +42,10 @@ def _names(node) -> set[str]:
 
 def unreached() -> set[str]:
     """``module.name`` of each public top-level definition that no other
-    top-level statement of a package module (``__init__`` aside) names."""
+    top-level statement of a package module names."""
     statements = [
         (path.stem, node, _names(node))
-        for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+        for path in sorted(SRC.glob("*.py"))
         for node in ast.parse(path.read_text()).body
     ]
     return {
@@ -65,3 +66,16 @@ def test_every_public_name_is_reached_or_kept():
 def test_every_kept_name_is_defined_and_still_unreached():
     stale = KEPT.keys() - unreached()
     assert not stale, f"gone, or now reached by package code; drop from KEPT: {sorted(stale)}"
+
+
+def test_init_binds_no_package_name():
+    # a re-export is a second import path to a name, which no caller needs
+    defined = {
+        target.id if isinstance(target, ast.Name) else target.name
+        for path in SRC.glob("*.py") if path.stem != "__init__"
+        for node in ast.parse(path.read_text()).body
+        for target in (node.targets if isinstance(node, ast.Assign) else [node])
+        if isinstance(target, (ast.Name, ast.FunctionDef, ast.ClassDef))
+    }
+    bound = _names(ast.parse((SRC / "__init__.py").read_text())) & defined
+    assert not bound, f"__init__ binds package names; import them from their modules: {sorted(bound)}"
