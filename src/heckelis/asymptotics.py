@@ -47,6 +47,7 @@ def grid_q(n: int, *, alpha: float | None = None, k: float | None = None) -> int
         raise ValueError(f"q is out of range at n={n}, {name}={value:g}") from None
     if q < 1:
         raise ValueError(f"q rounds to {q}, must be >= 1")
+    _check_sizes(n, q=q)
     return q
 
 

@@ -105,11 +105,12 @@ def _csv(params: dict, seed, header, rows):
     return write
 
 
-def _publish(base: str, subcommand: str, params: dict, seed, files) -> None:
+def _publish(base: str, subcommand: str, params: dict, seed, files, **run) -> None:
     """Write each ``(path, write)`` of ``files``, then ``<base>.manifest.json``
-    with the subcommand, ``params``, seed and code version.  If any of them
-    fails, the data files already written are removed, so no data file is
-    left without its manifest."""
+    with the subcommand, ``params``, seed, code version and the ``run``
+    fields, which say how the run went.  If any of them fails, the data
+    files already written are removed, so no data file is left without its
+    manifest."""
 
     def manifest(fh):
         fh.write(json.dumps({
@@ -118,6 +119,7 @@ def _publish(base: str, subcommand: str, params: dict, seed, files) -> None:
             "seed": seed,
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
+            **run,
         }, indent=2, sort_keys=True) + "\n")
 
     written = []
@@ -237,7 +239,7 @@ def cmd_patience(args) -> int:
     _publish(args.out, "patience", params, args.seed, [
         (hist_path, _csv(params, args.seed, ["pile_count", "frequency"], stats.histogram.items())),
         (sizes_path, _csv(params, args.seed, ["position", "mean_size"], sizes)),
-    ])
+    ], dealer=stats.dealer)
     print(f"wrote {hist_path} and {sizes_path}")
     print(f"mean pile count: {stats.mean_piles:.4f}")
     return 0

@@ -1,28 +1,29 @@
 """Patience sorting on decks with repeated values.
 
-Cards are dealt left to right onto piles.  With ties allowed, a card may
-cover a card of greater or equal value; with ties forbidden, only strictly
-greater.  Under the greedy strategy (leftmost legal pile) the pile tops
-weakly increase left to right, so the legal pile is found by binary search.
+Cards are dealt left to right onto piles, and a card may cover a card of
+greater or equal value (ties allowed).  Under the greedy strategy (leftmost
+legal pile) the pile tops weakly increase left to right, so the legal pile
+is found by binary search.
 
-``play_greedy`` deals one word and is the rule.  ``deck_simulation`` deals
-whole blocks of shuffled decks at once with ``deal_piles``, which keeps
-only the tops and the pile sizes and must agree with ``play_greedy`` deck
-by deck.
+``play_greedy`` deals one word and is the rule.  ``deck_simulation``
+shuffles and deals whole blocks of decks in one call of the compiled
+``deal_decks`` (``deal.c``), which keeps only the pile counts and sizes.
+Where no C compiler builds it, the numpy dealer runs instead: it shuffles
+each deck with its trial's generator and deals a block at once with
+``deal_piles``.  Both must agree with ``play_greedy`` deck by deck, and the
+numpy dealer is the compiled one's oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+import ctypes
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import trial_generators
+from .rng import trial_generators, trial_keys
 from .words import Word
-
-TIES_ALLOWED = "allowed"
-TIES_FORBIDDEN = "forbidden"
 
 
 @dataclass(frozen=True)
@@ -30,38 +31,31 @@ class PileState:
     """Piles listed left to right, cards bottom to top."""
 
     piles: tuple[tuple[int, ...], ...]
-    ties: str
 
     def __post_init__(self):
-        if self.ties not in (TIES_ALLOWED, TIES_FORBIDDEN):
-            raise ValueError(f"unknown ties mode {self.ties!r}")
-        strict = self.ties == TIES_FORBIDDEN
         for pile in self.piles:
             for a, b in zip(pile, pile[1:]):
-                if (strict and not b < a) or (not strict and not b <= a):
-                    raise ValueError(f"pile {pile} violates the {self.ties} stacking rule")
+                if b > a:
+                    raise ValueError(f"pile {pile} has a card on a smaller one")
         tops = [pile[-1] for pile in self.piles]
         if any(tops[i] > tops[i + 1] for i in range(len(tops) - 1)):
             raise ValueError("pile tops must weakly increase left to right")
 
 
-def play_greedy(w: Word, ties: str = TIES_ALLOWED) -> PileState:
+def play_greedy(w: Word) -> PileState:
     """Deal ``w`` with the greedy strategy: each card goes on the leftmost
     pile it may legally cover, else starts a new rightmost pile."""
-    if ties not in (TIES_ALLOWED, TIES_FORBIDDEN):
-        raise ValueError(f"unknown ties mode {ties!r}")
-    locate = bisect_left if ties == TIES_ALLOWED else bisect_right
     piles: list[list[int]] = []
     tops: list[int] = []
     for x in w.letters:
-        idx = locate(tops, x)
+        idx = bisect_left(tops, x)
         if idx == len(piles):
             piles.append([x])
             tops.append(x)
         else:
             piles[idx].append(x)
             tops[idx] = x
-    return PileState(tuple(tuple(p) for p in piles), ties)
+    return PileState(tuple(tuple(p) for p in piles))
 
 
 @dataclass(frozen=True)
@@ -71,6 +65,7 @@ class DeckStats:
     histogram: dict  # pile count -> number of trials
     mean_piles: float
     mean_pile_sizes: tuple[float, ...]  # by position; absent piles count 0
+    dealer: str = field(compare=False)  # "compiled" or "numpy": which dealer ran
 
 
 # a block of decks holds about this many cards, and at least
@@ -111,24 +106,27 @@ def deal_piles(decks: np.ndarray, ranks: int) -> np.ndarray:
     return slots.T
 
 
-def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) -> DeckStats:
-    """Shuffle a deck of ``copies_per_rank`` copies of each of ``ranks``
-    values uniformly per trial, play ties-allowed greedy patience, and
-    aggregate the pile-count histogram and per-position mean pile sizes.
+def _compiled_dealer():
+    """The compiled ``deal_decks``, or None where it cannot be built."""
+    from .native import load
 
-    Trial t shuffles its deck with its own ``(seed, t)`` stream, taken from
-    ``trial_generators``; the decks are dealt a block at a time by
-    ``deal_piles``."""
-    if ranks < 1 or copies_per_rank < 1:
-        raise ValueError("ranks and copies_per_rank must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    library = load("deal")
+    if library is None:
+        return None
+    deal = library.deal_decks
+    deal.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_void_p, ctypes.c_void_p)
+    deal.restype = ctypes.c_int
+    return deal
+
+
+def _deal_numpy(ranks, copies_per_rank, trials, seed, histogram, size_sums) -> None:
+    """The numpy dealer: add each trial's pile count to ``histogram`` and
+    its pile sizes to ``size_sums``, as ``deal_decks`` does."""
     # the narrowest type that holds the ranks: it is shuffled and copied per deck
     deck = np.repeat(np.arange(1, ranks + 1, dtype=np.min_scalar_type(ranks)), copies_per_rank)
     block = max(_MIN_BLOCK_DECKS, _BLOCK_CARDS // deck.size)
     streams = trial_generators(seed, 0, trials)
-    histogram = np.zeros(ranks + 1, dtype=np.int64)
-    size_sums = np.zeros(ranks, dtype=np.int64)
     for start in range(0, trials, block):
         decks = np.tile(deck, (min(block, trials - start), 1))
         for row, rng in zip(decks, streams):
@@ -137,10 +135,39 @@ def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) ->
         histogram += np.bincount(piles.max(axis=1) + 1, minlength=ranks + 1)
         # the order of the cards does not matter to the sums, so read them as stored
         size_sums += np.bincount(piles.ravel(order="K"), minlength=ranks)
+
+
+def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) -> DeckStats:
+    """Shuffle a deck of ``copies_per_rank`` copies of each of ``ranks``
+    values uniformly per trial, play ties-allowed greedy patience, and
+    aggregate the pile-count histogram and per-position mean pile sizes.
+
+    Trial t's deck is ``generator(trial_stream(seed, t)).shuffle(deck)``
+    for the deck in rank order.  The compiled dealer runs Philox itself on
+    the keys of ``trial_keys``; the numpy dealer takes the generators of
+    ``trial_generators``."""
+    if ranks < 1 or copies_per_rank < 1:
+        raise ValueError("ranks and copies_per_rank must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cards = ranks * copies_per_rank
+    if cards > np.iinfo(np.int64).max:  # no array holds it, and ctypes would wrap it
+        raise MemoryError(f"cannot allocate a deck of {cards} cards")
+    histogram = np.zeros(ranks + 1, dtype=np.int64)
+    size_sums = np.zeros(ranks, dtype=np.int64)
+    deal = _compiled_dealer()
+    if deal is None:
+        _deal_numpy(ranks, copies_per_rank, trials, seed, histogram, size_sums)
+    else:
+        for keys in trial_keys(seed, 0, trials):
+            if deal(keys.ctypes.data, len(keys), ranks, copies_per_rank,
+                    histogram.ctypes.data, size_sums.ctypes.data):
+                raise MemoryError(f"cannot allocate a deck of {cards} cards")
     counts = histogram.tolist()
     most = max(k for k, c in enumerate(counts) if c)
     return DeckStats(
         histogram={k: c for k, c in enumerate(counts) if c},
         mean_piles=sum(k * c for k, c in enumerate(counts)) / trials,
         mean_pile_sizes=tuple(s / trials for s in size_sums[:most].tolist()),
+        dealer="numpy" if deal is None else "compiled",
     )

@@ -13,6 +13,8 @@ re-keys a single Philox per trial, so each trial starts in exactly the
 state its ``trial_stream`` gives, without building a ``SeedSequence``, a
 ``Philox`` and a ``Generator`` per trial.  ``trial_stream`` stays the
 definition of the contract and the block path's test oracle.
+``trial_keys`` yields the same keys as arrays, for the compiled deck
+dealer, which runs Philox itself.
 """
 
 from __future__ import annotations
@@ -120,6 +122,26 @@ def _trial_keys(seed_pool: tuple[list[int], int], start: int, stop: int) -> np.n
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
+def trial_keys(seed: int, start: int, stop: int):
+    """Philox keys of trials ``start .. stop-1``, as ``_trial_keys`` gives
+    them, ``_KEY_CHUNK`` trials at a time: trial t's generator is
+    ``np.random.Generator(np.random.Philox(key=key))`` for its key row."""
+    seed, start, stop = int(seed), int(start), int(stop)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= start <= stop <= 2**64:
+        raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
+    return _key_chunks(_seed_pool(seed), start, stop)
+
+
+def _key_chunks(seed_pool, start: int, stop: int):
+    while start < stop:
+        # a chunk never crosses a multiple of 2**32, so its trials share a high word
+        end = min(stop, start + _KEY_CHUNK, (start >> 32) + 1 << 32)
+        yield _trial_keys(seed_pool, start, end)
+        start = end
+
+
 def trial_generators(seed: int, start: int, stop: int):
     """Generators of trials ``start .. stop-1``, one at a time, each in
     exactly the state ``generator(trial_stream(seed, t))`` starts in.
@@ -127,26 +149,18 @@ def trial_generators(seed: int, start: int, stop: int):
     It is one ``Generator`` re-keyed before each trial, so draw from each
     before taking the next.  Keys are derived ``_KEY_CHUNK`` trials at a
     time, as the trials are taken."""
-    seed, start, stop = int(seed), int(start), int(stop)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not 0 <= start <= stop <= 2**64:
-        raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
-    return _rekeyed(_seed_pool(seed), start, stop)
+    return _rekeyed(trial_keys(seed, start, stop))
 
 
-def _rekeyed(seed_pool, start: int, stop: int):
+def _rekeyed(chunks):
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     # the state Philox(SeedSequence) starts in, but for the key
     inner = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    while start < stop:
-        # a chunk never crosses a multiple of 2**32, so its trials share a high word
-        end = min(stop, start + _KEY_CHUNK, (start >> 32) + 1 << 32)
-        for key in _trial_keys(seed_pool, start, end).tolist():
+    for keys in chunks:
+        for key in keys.tolist():
             inner["key"] = key
             bit_generator.state = state
             yield rng
-        start = end

@@ -20,7 +20,7 @@ from .measures import (
     plancherel_hecke_weights,
     plancherel_rsk_prob,
 )
-from .patience import TIES_ALLOWED, play_greedy
+from .patience import play_greedy
 from .tableaux import YoungDiagram, add_corner, addable_corners, partitions_in_staircase
 from .words import Permutation, Word, lds, lis, random_word
 from .rng import trial_generators
@@ -141,7 +141,7 @@ def check_patience(level: str = FAST) -> SuiteReport:
     max_n, max_q = (7, 4) if level == FULL else (5, 3)
     words = 0
     for w in _words_up_to(max_n, max_q):
-        piles = play_greedy(w, TIES_ALLOWED).piles
+        piles = play_greedy(w).piles
         p = insertion_tableau(w)
         first_row = p.rows[0] if p.rows else ()
         if tuple(pile[-1] for pile in piles) != first_row or len(piles) != lis(w):

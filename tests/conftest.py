@@ -1,12 +1,58 @@
+import shlex
+import shutil
 import sys
+import sysconfig
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from heckelis import native, patience
 from heckelis.tableaux import YoungDiagram
 from heckelis.words import Word
+
+
+def c_compiler() -> str | None:
+    """The C compiler the kernels are built with, if it is on PATH."""
+    command = sysconfig.get_config_var("CC")
+    return command if command and shutil.which(shlex.split(command)[0]) else None
+
+
+@pytest.fixture
+def compiled_dealer():
+    """The test runs the compiled deck dealer; it skips only where no C
+    compiler is on PATH, and fails if one is but the dealer is not built."""
+    if c_compiler() is None:
+        pytest.skip("no C compiler on PATH, so the compiled dealer cannot be built")
+    assert patience._compiled_dealer() is not None, "a C compiler is on PATH, but deal.c did not load"
+    return "compiled"
+
+
+@pytest.fixture
+def numpy_dealer(monkeypatch):
+    """The test runs the numpy dealer: the loader is forced to None."""
+    monkeypatch.setattr(patience, "_compiled_dealer", lambda: None)
+    return "numpy"
+
+
+@pytest.fixture
+def missing_compiler(monkeypatch, tmp_path_factory):
+    """The test runs with an empty kernel cache and a C compiler command
+    that does not exist, so the loader falls back to the numpy dealer."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+    monkeypatch.setattr(native, "_libraries", {})
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "heckelis-no-such-cc" if name == "CC" else config_var(name))
+    return "numpy"
+
+
+@pytest.fixture(params=["compiled_dealer", "numpy_dealer", "missing_compiler"])
+def dealer(request):
+    """Each way a deck simulation can run; the value is the dealer that runs."""
+    return request.getfixturevalue(request.param)
 
 
 @st.composite

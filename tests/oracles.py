@@ -248,6 +248,7 @@ def scalar_deck_simulation(ranks, copies_per_rank, trials, seed) -> DeckStats:
         histogram=dict(sorted(histogram.items())),
         mean_piles=pile_total / trials,
         mean_pile_sizes=tuple(s / trials for s in size_sums),
+        dealer="scalar",
     )
 
 

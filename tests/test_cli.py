@@ -283,6 +283,33 @@ class TestCurve:
         assert manifest["params"]["regime"] == "staircase"
 
 
+PATIENCE_DIGESTS = [
+    (13, 4, 2000, 7,
+     "18d2b6352edf880a18de33ac6432d0fd66f08a7c0e5f9cc00b45aba713866dce",
+     "a18d87678458d1346ac87858600640e58f762b412a9a97c9d5f197da57d028b1"),
+    (1000, 1, 300, 3,
+     "b87ac47137c95fc70ec4ba3d0d97596e7edc4fe9d1b515768ff0e735a2aae22c",
+     "ef745cb514dcb2e0a25435119d97a70c238f5c113dc4dc7afca0f49b1d33dccf"),
+    (5, 3, 1537, 11,
+     "335b326e104b03971c2f4acb8bd495a76b58d95a92ca25da854237c62b178391",
+     "2354f5555704f6eb897fd19560cae3b625c45a3f2094f7c211d0d4e2e196bf5a"),
+    (1, 5, 50, 3,
+     "d60a0a36fc0447358e264a76cf7cfd033bfe6f1773623472746d712abec5f5df",
+     "ffdaac8edea191c792e6a0b01eacf80c7e8d04c3a02f3d89e0fba1bf52ba1cce"),
+]
+PATIENCE_IDS = ["13x4", "1000x1", "5x3", "1x5"]
+
+
+def run_pinned_patience(tmp_path, ranks, copies, trials, seed, histogram, pile_sizes):
+    """Run ``patience``, check both CSVs against their digests and return the manifest."""
+    assert run_cli(["patience", "--ranks", ranks, "--copies", copies,
+                    "--trials", trials, "--seed", seed, "--out", tmp_path / "deck"]) == 0
+    for name, digest in [("histogram", histogram), ("pile_sizes", pile_sizes)]:
+        data = (tmp_path / f"deck_{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+    return json.loads((tmp_path / "deck.manifest.json").read_text())
+
+
 class TestPatience:
     def test_writes_both_csvs(self, tmp_path, capsys):
         out = tmp_path / "deck"
@@ -297,32 +324,33 @@ class TestPatience:
         total = sum(int(r.split(",")[1]) for r in hist[2:])
         assert total == 50
 
-    @pytest.mark.parametrize(
-        "ranks, copies, trials, seed, histogram, pile_sizes",
-        [
-            (13, 4, 2000, 7,
-             "18d2b6352edf880a18de33ac6432d0fd66f08a7c0e5f9cc00b45aba713866dce",
-             "a18d87678458d1346ac87858600640e58f762b412a9a97c9d5f197da57d028b1"),
-            (1000, 1, 300, 3,
-             "b87ac47137c95fc70ec4ba3d0d97596e7edc4fe9d1b515768ff0e735a2aae22c",
-             "ef745cb514dcb2e0a25435119d97a70c238f5c113dc4dc7afca0f49b1d33dccf"),
-            (5, 3, 1537, 11,
-             "335b326e104b03971c2f4acb8bd495a76b58d95a92ca25da854237c62b178391",
-             "2354f5555704f6eb897fd19560cae3b625c45a3f2094f7c211d0d4e2e196bf5a"),
-            (1, 5, 50, 3,
-             "d60a0a36fc0447358e264a76cf7cfd033bfe6f1773623472746d712abec5f5df",
-             "ffdaac8edea191c792e6a0b01eacf80c7e8d04c3a02f3d89e0fba1bf52ba1cce"),
-        ],
-        ids=["13x4", "1000x1", "5x3", "1x5"],
-    )
+    @pytest.mark.parametrize("ranks, copies, trials, seed, histogram, pile_sizes",
+                             PATIENCE_DIGESTS, ids=PATIENCE_IDS)
     def test_bytes_pinned(self, ranks, copies, trials, seed, histogram, pile_sizes,
                           tmp_path, capsys):
+        run_pinned_patience(tmp_path, ranks, copies, trials, seed, histogram, pile_sizes)
+
+    # the numpy dealer, forced or as the fallback where no compiler runs, writes the same bytes
+    @pytest.mark.parametrize("fallback", ["numpy_dealer", "missing_compiler"])
+    @pytest.mark.parametrize("ranks, copies, trials, seed, histogram, pile_sizes",
+                             PATIENCE_DIGESTS, ids=PATIENCE_IDS)
+    def test_bytes_pinned_on_the_numpy_dealer(self, ranks, copies, trials, seed, histogram,
+                                              pile_sizes, fallback, request, tmp_path, capsys):
+        request.getfixturevalue(fallback)
+        manifest = run_pinned_patience(tmp_path, ranks, copies, trials, seed, histogram,
+                                       pile_sizes)
+        assert manifest["dealer"] == "numpy"
+
+    def test_manifest_names_the_dealer(self, dealer, tmp_path, capsys):
         out = tmp_path / "deck"
-        assert run_cli(["patience", "--ranks", ranks, "--copies", copies,
-                        "--trials", trials, "--seed", seed, "--out", out]) == 0
-        for name, digest in [("histogram", histogram), ("pile_sizes", pile_sizes)]:
-            data = (tmp_path / f"deck_{name}.csv").read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+        assert run_cli(["patience", "--ranks", "4", "--copies", "2", "--trials", "30",
+                        "--seed", "6", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "deck.manifest.json").read_text())
+        assert manifest["dealer"] == dealer
+        # outside params, so the CSV parameter line is the same for both dealers
+        assert manifest["params"] == {"ranks": 4, "copies": 2, "trials": 30}
+        assert (tmp_path / "deck_histogram.csv").read_text().splitlines()[0] == (
+            "# copies=2 ranks=4 seed=6 trials=30")
 
     def test_deck_too_large_for_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # what numpy raises for a deck of 10**10 cards, without allocating it
@@ -404,8 +432,12 @@ class TestUsageErrors:
             (["--n", "100", "--alpha-grid", "200"], "q is out of range at n=100, alpha=200"),
             (["--n", "100", "--alpha-grid", "0.5", "--k-grid", "inf"],
              "k must be finite, got inf"),
+            # q = 10**20 is a float that fits, but not an int64 letter
+            (["--n", "100", "--alpha-grid", "0.5", "10"],
+             "q must be <= 2**63 - 1, got 100000000000000000000"),
         ],
-        ids=["negative-n", "q-rounds-to-0", "nan", "q-overflow", "second-grid"],
+        ids=["negative-n", "q-rounds-to-0", "nan", "q-overflow", "second-grid",
+             "q-past-int64"],
     )
     def test_sweep_grid_error_before_sampling(self, grid, message, tmp_path, monkeypatch,
                                               capsys):

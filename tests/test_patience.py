@@ -1,11 +1,12 @@
 from itertools import permutations, product
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 
-from heckelis import patience
+from heckelis import patience, rng
 from heckelis.insertion import hecke
 from heckelis.patience import (
     PileState,
@@ -25,16 +26,12 @@ TWELVE_CARD_WORD = Word((2, 1, 4, 1, 3, 5, 3, 2, 5, 1, 4, 2), 5)
 class TestWorkedGames:
     def test_nine_card_distinct_deck(self):
         deck = Word((8, 2, 6, 3, 4, 1, 7, 10, 9), 10)
-        state = play_greedy(deck, "allowed")
+        state = play_greedy(deck)
         assert state.piles == ((8, 2, 1), (6, 3), (4,), (7,), (10, 9))
         assert len(state.piles) == 5
 
-    def test_twelve_card_ties_forbidden(self):
-        state = play_greedy(TWELVE_CARD_WORD, "forbidden")
-        assert state.piles == ((2, 1), (4, 1), (3, 2, 1), (5, 3, 2), (5, 4))
-
     def test_twelve_card_ties_allowed(self):
-        state = play_greedy(TWELVE_CARD_WORD, "allowed")
+        state = play_greedy(TWELVE_CARD_WORD)
         assert state.piles == ((2, 1, 1, 1), (4, 3, 3, 2, 2), (5, 5, 4))
         assert tuple(pile[-1] for pile in state.piles) == (1, 2, 4)
 
@@ -46,24 +43,16 @@ class TestWorkedGames:
         state = play_greedy(Word((), 2))
         assert state.piles == ()
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            play_greedy(Word((1,), 1), "sometimes")
-
 
 class TestPileStateValidation:
     def test_rejects_increasing_pile(self):
         with pytest.raises(ValueError):
-            PileState(((1, 2),), "allowed")
-
-    def test_rejects_tie_in_forbidden_mode(self):
-        with pytest.raises(ValueError):
-            PileState(((2, 2),), "forbidden")
-        PileState(((2, 2),), "allowed")
+            PileState(((1, 2),))
+        PileState(((2, 2),))  # a card may cover its equal
 
     def test_rejects_decreasing_tops(self):
         with pytest.raises(ValueError):
-            PileState(((3,), (1,)), "allowed")
+            PileState(((3,), (1,)))
 
 
 class TestAgainstInsertion:
@@ -142,6 +131,15 @@ class TestDealPiles:
             greedy_piles(deck, ranks) for deck in decks]
 
 
+ORACLE_SIZES = [
+    (1, 5, 50, 3),
+    (1000, 1, 40, 3),
+    (400, 3, 30, 3),
+    (5, 3, 300, 11),
+    (9000, 1, 6, 3),  # wider than _BLOCK_CARDS / 4: blocks of 4 decks
+]
+
+
 class TestDeckSimulation:
     def test_single_rank(self):
         stats = deck_simulation(1, 5, 50, 3)
@@ -159,24 +157,25 @@ class TestDeckSimulation:
         b = deck_simulation(6, 2, 100, 5)
         assert a == b
 
-    @pytest.mark.parametrize("ranks, copies, trials, seed", [
-        (1, 5, 50, 3),
-        (1000, 1, 40, 3),
-        (400, 3, 30, 3),
-        (5, 3, 300, 11),
-        (9000, 1, 6, 3),  # wider than _BLOCK_CARDS / 4: blocks of 4 decks
-    ])
-    def test_equals_scalar_oracle(self, ranks, copies, trials, seed):
+    @pytest.mark.parametrize("ranks, copies, trials, seed", ORACLE_SIZES)
+    def test_equals_scalar_oracle(self, ranks, copies, trials, seed, numpy_dealer):
         assert deck_simulation(ranks, copies, trials, seed) == scalar_deck_simulation(
             ranks, copies, trials, seed)
 
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
                              ids=["b-1", "b", "b+1", "2b+1"])
-    def test_equals_scalar_oracle_around_the_block_size(self, blocks, extra):
+    def test_equals_scalar_oracle_around_the_block_size(self, blocks, extra, numpy_dealer):
         ranks, copies = 13, 4
         trials = blocks * (patience._BLOCK_CARDS // (ranks * copies)) + extra
         assert deck_simulation(ranks, copies, trials, 5) == scalar_deck_simulation(
             ranks, copies, trials, 5)
+
+    # a deck past int64 cards fails before any allocation; 2**62 cards pass
+    # that check and are refused by the dealer's own size check
+    @pytest.mark.parametrize("copies", [2**64 + 3, 2**62])
+    def test_deck_too_large_is_memory_error(self, copies, dealer):
+        with pytest.raises(MemoryError):
+            deck_simulation(1, copies, 1, 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -198,3 +197,56 @@ class TestDeckSimulation:
         sigma = (trials * p * (1 - p)) ** 0.5
         for rank in range(1, ranks + 1):
             assert abs(counts[rank] - trials * p) <= 3 * sigma
+
+
+def dealt_by_both(ranks, copies, trials, seed, monkeypatch):
+    """The stats of the compiled dealer, then of the numpy dealer."""
+    compiled = deck_simulation(ranks, copies, trials, seed)
+    monkeypatch.setattr(patience, "_compiled_dealer", lambda: None)
+    return compiled, deck_simulation(ranks, copies, trials, seed)
+
+
+class TestCompiledDealer:
+    """``deal.c`` against the numpy dealer, its oracle, and the scalar oracle."""
+
+    @pytest.mark.parametrize("ranks, copies, trials, seed", [
+        (13, 4, 10_000, 7),
+        (1000, 1, 300, 3),
+        (5, 3, 1537, 11),
+        (1, 5, 50, 3),
+        (1, 1, 20, 2),
+        (40_000, 1, 3, 5),
+        (70_000, 1, 2, 5),  # swap positions past 2**16
+    ], ids=["13x4", "1000x1", "5x3", "1x5", "1x1", "40000x1", "70000x1"])
+    def test_equals_numpy_dealer(self, ranks, copies, trials, seed, compiled_dealer,
+                                 monkeypatch):
+        compiled, numpy = dealt_by_both(ranks, copies, trials, seed, monkeypatch)
+        assert (compiled.dealer, numpy.dealer) == ("compiled", "numpy")
+        assert compiled == numpy
+
+    @pytest.mark.parametrize("trials", [1023, 1024, 1025, 2049])
+    def test_equals_numpy_dealer_around_the_key_chunk(self, trials, compiled_dealer,
+                                                      monkeypatch):
+        assert rng._KEY_CHUNK == 1024
+        compiled, numpy = dealt_by_both(13, 4, trials, 9, monkeypatch)
+        assert compiled.dealer == "compiled"
+        assert compiled == numpy
+
+    @pytest.mark.parametrize("ranks, copies, trials, seed", ORACLE_SIZES)
+    def test_equals_scalar_oracle(self, ranks, copies, trials, seed, compiled_dealer):
+        stats = deck_simulation(ranks, copies, trials, seed)
+        assert stats.dealer == "compiled"
+        assert stats == scalar_deck_simulation(ranks, copies, trials, seed)
+
+    # seeds past 2**32 and 2**64 take two and three words into the key hash
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ranks=st.integers(1, 30), copies=st.integers(1, 6), trials=st.integers(1, 40),
+           seed=st.integers(0, 2**70))
+    def test_equals_numpy_dealer_on_random_sizes(self, compiled_dealer, ranks, copies, trials,
+                                                 seed):
+        compiled = deck_simulation(ranks, copies, trials, seed)
+        with mock.patch.object(patience, "_compiled_dealer", lambda: None):
+            numpy = deck_simulation(ranks, copies, trials, seed)
+        assert (compiled.dealer, numpy.dealer) == ("compiled", "numpy")
+        assert compiled == numpy
