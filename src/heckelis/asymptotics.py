@@ -7,17 +7,24 @@ banker's rounding.  Trials are independent and keyed by ``(seed, trial)``;
 all aggregation is integer sums, so a sweep result is identical for any
 execution order or worker count.
 
-No trial builds a ``Word``: its letters come from its generator as plain
-ints, already in range.  The word kernel (``trial_words``) draws all n in
-one call.  The shape kernel (``trial_shapes``) draws them as it inserts
-them: the q(q+1)/2 letters that any staircase(q) needs first, then chunks
-each twice the one before, and no more once the shape is staircase(q).
-numpy draws the same values in chunks as in one call, so both kernels see
-the letters ``random_word`` gives for the trial's stream.
+No trial builds a ``Word``.  Each runs in one call of a kernel compiled
+from ``sampling.c``, the package's one C source (see ``native``), which
+runs the trial's Philox stream itself and draws the letters that
+``random_word`` gives for the trial's stream.  The word kernel reads a
+word's LIS, LDS and Demazure product off its letters; the shape kernel
+Hecke-inserts them and stops drawing once the shape is staircase(q).
+Where no C compiler builds them, the Python kernels run, and they are the
+compiled ones' oracles: ``trial_words`` draws a trial's n letters in one
+numpy call for ``word_statistics``, and ``_chunks`` draws them for
+``shape_parts`` as it inserts them: the q(q+1)/2 letters that any
+staircase(q) needs first, then chunks each twice the one before.  numpy
+draws the same values in chunks as in one call, so every kernel sees the
+same letters.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass, field
@@ -26,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .insertion import shape_parts
-from .rng import trial_generators
+from .rng import trial_generators, trial_keys
 from .tableaux import YoungDiagram, conjugate, staircase
 from .words import demazure_product, draw_letters, longest_element, patience_lis
 
@@ -59,10 +66,12 @@ class SweepResult:
     sigma_lds: float
     staircase_fraction: float
     mean_profile: tuple[float, ...] = field(repr=False)  # empty unless profiled
+    kernel: str = field(compare=False)  # "compiled" or "python": which kernels ran
 
 
 _BLOCK = 64  # trials per scheduling unit
 _MAX_Q = 2**63 - 1  # letters are drawn as numpy int64
+_MAX_DRAWS = 2**63 - 1  # every kernel counts a trial's letters in an int64
 
 
 def _check_sizes(n: int, trials: int | None = None, q: int | None = None) -> None:
@@ -75,13 +84,75 @@ def _check_sizes(n: int, trials: int | None = None, q: int | None = None) -> Non
         raise ValueError(f"q must be <= 2**63 - 1, got {q}")
 
 
+def _check_draws(letters: int) -> None:
+    """A trial may draw ``letters`` letters: at most ``_MAX_DRAWS``."""
+    if letters > _MAX_DRAWS:
+        raise ValueError(f"a trial may draw {letters} letters, more than 2**63 - 1")
+
+
+def _staircase_boxes(n: int, q: int) -> int:
+    """q(q+1)/2, the boxes of staircase(q), or -1 where n letters cannot fill them."""
+    boxes = q * (q + 1) // 2
+    return boxes if boxes <= n else -1
+
+
+def _compiled():
+    """The compiled kernels, or None where they cannot be built."""
+    from .native import load
+
+    library = load("sampling")
+    if library is None:
+        return None
+    i64, u64, pointer = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+    library.word_statistics.argtypes = (pointer, i64, i64, i64, i64, pointer)
+    library.word_statistics.restype = ctypes.c_int
+    library.tableau_new.argtypes = ()
+    library.tableau_new.restype = pointer
+    library.tableau_free.argtypes = (pointer,)
+    library.tableau_free.restype = None
+    library.tableau_lengths.argtypes = (pointer,)
+    library.tableau_lengths.restype = ctypes.POINTER(i64)
+    library.insert_word.argtypes = (pointer, u64, u64, i64, i64, i64)
+    library.insert_word.restype = i64
+    return library
+
+
+def sampling_kernel() -> str:
+    """The kernels the samplers run in this process: ``"compiled"`` or ``"python"``."""
+    return "python" if _compiled() is None else "compiled"
+
+
 def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
     """Letters of the uniform words of trials ``start .. stop-1``, one list
     of ints at a time; trial ``t`` draws all ``n`` in one call from its
     ``(seed, t)`` stream, taken from ``trial_generators``.  The sizes are
     checked here, before the first letter is drawn."""
     _check_sizes(n, stop - start, q)
+    _check_draws(n)
     return (draw_letters(rng, n, q) for rng in trial_generators(seed, start, stop))
+
+
+def _compiled_word_statistics(library, n: int, q: int, seed: int, stop: int, start: int):
+    """``word_statistics`` of the words of ``trial_words``, by the compiled
+    word kernel, a chunk of trials per call."""
+    boxes = _staircase_boxes(n, q)
+    for keys in trial_keys(seed, start, stop):
+        out = np.empty((len(keys), 3), dtype=np.int64)
+        if library.word_statistics(keys.ctypes.data, len(keys), n, q, boxes, out.ctypes.data):
+            raise MemoryError(f"cannot allocate the patience piles at n={n}, q={q}")
+        for lis, lds, stair in out.tolist():
+            yield lis, lds, stair == 1, ()
+
+
+def trial_statistics(n: int, q: int, seed: int, stop: int, start: int = 0):
+    """The word kernel's statistics of the trials ``start .. stop-1``, as
+    ``word_statistics(trial_words(...))`` gives them."""
+    _check_sizes(n, stop - start, q)
+    _check_draws(n)
+    library = _compiled()
+    if library is None:
+        return word_statistics(trial_words(n, q, seed, stop, start), n, q)
+    return _compiled_word_statistics(library, n, q, seed, stop, start)
 
 
 def _chunks(rng, n: int, q: int):
@@ -95,15 +166,47 @@ def _chunks(rng, n: int, q: int):
         size *= 2
 
 
+def _python_shapes(n: int, q: int, seed: int, stop: int, start: int):
+    """Row lengths of the insertion shapes of the trials, by ``shape_parts``."""
+    return (shape_parts(chain.from_iterable(_chunks(rng, n, q)), q)
+            for rng in trial_generators(seed, start, stop))
+
+
+def _compiled_shapes(library, n: int, q: int, seed: int, stop: int, start: int):
+    """``_python_shapes`` by the compiled shape kernel, a trial per call,
+    into one tableau that the trials reuse."""
+    boxes = _staircase_boxes(n, q)
+    # _check_draws lets n past 2**63 - 1 only where staircase(q) is
+    # reachable, and no run could draw 2**63 letters in any case
+    n = min(n, _MAX_DRAWS)
+    tableau = library.tableau_new()
+    if not tableau:
+        raise MemoryError("cannot allocate an insertion tableau")
+    try:
+        for keys in trial_keys(seed, start, stop):
+            for key0, key1 in keys.tolist():
+                rows = library.insert_word(tableau, key0, key1, n, q, boxes)
+                if rows < 0:
+                    raise MemoryError(f"cannot allocate the insertion tableau at n={n}, q={q}")
+                yield tuple(library.tableau_lengths(tableau)[:rows]) if rows else ()
+    finally:
+        library.tableau_free(tableau)
+
+
 def trial_shapes(n: int, q: int, seed: int, stop: int, start: int = 0):
     """Insertion shapes of the words of ``trial_words``, one at a time.
 
-    Each trial's letters are drawn chunk by chunk as they are inserted, and
-    drawing stops once the shape is staircase(q).  A letter adds at most one
-    box, so no trial reaches the staircase before its first chunk ends."""
+    Each trial's letters are drawn as they are inserted, and drawing stops
+    once the shape is staircase(q); a letter adds at most one box, so no
+    trial stops before its first q(q+1)/2 letters."""
     _check_sizes(n, stop - start, q)
-    return (YoungDiagram(shape_parts(chain.from_iterable(_chunks(rng, n, q)), q))
-            for rng in trial_generators(seed, start, stop))
+    _check_draws(min(n, q * (q + 1) // 2))
+    library = _compiled()
+    if library is None:
+        parts = _python_shapes(n, q, seed, stop, start)
+    else:
+        parts = _compiled_shapes(library, n, q, seed, stop, start)
+    return map(YoungDiagram, parts)
 
 
 def shape_statistics(shapes, n: int, q: int):
@@ -134,14 +237,14 @@ def _add_columns(total: list[int], cols) -> None:
         total[c] += v
 
 
-def _sweep_block(args) -> tuple[tuple[int, ...], list[int]]:
+def _sweep_block(args) -> tuple[tuple[int, ...], list[int], str]:
     """The sums of lis, lis^2, lds, lds^2 and staircase hits over a block of
-    trials, and its column sums."""
+    trials, its column sums, and the kernels that ran."""
     n, q, seed, start, stop, profile = args
     if profile:
         per_trial = shape_statistics(trial_shapes(n, q, seed, stop, start), n, q)
     else:
-        per_trial = word_statistics(trial_words(n, q, seed, stop, start), n, q)
+        per_trial = trial_statistics(n, q, seed, stop, start)
     lis = lis2 = lds = lds2 = hits = 0
     col_sums: list[int] = []
     for first, rows, stair, cols in per_trial:
@@ -151,7 +254,7 @@ def _sweep_block(args) -> tuple[tuple[int, ...], list[int]]:
         lds2 += rows * rows
         hits += stair
         _add_columns(col_sums, cols)
-    return (lis, lis2, lds, lds2, hits), col_sums
+    return (lis, lis2, lds, lds2, hits), col_sums, sampling_kernel()
 
 
 def sweep_at(
@@ -166,7 +269,8 @@ def sweep_at(
 
     ``profile=True`` runs the shape kernel and also gives the mean column
     profile; the default word kernel gives the same statistics without
-    insertion.  ``threads`` only controls scheduling; the result is
+    insertion.  The result's ``kernel`` says whether they ran compiled or
+    in Python.  ``threads`` only controls scheduling; the result is
     bit-identical for any value because every trial stream is derived from
     ``(seed, trial)`` and the merged quantities are integer sums.  The pool
     never gets more workers than there are blocks or CPUs.
@@ -184,9 +288,9 @@ def sweep_at(
     else:
         results = [_sweep_block(b) for b in blocks]
 
-    lis, lis2, lds, lds2, hits = map(sum, zip(*(sums for sums, _ in results)))
+    lis, lis2, lds, lds2, hits = map(sum, zip(*(sums for sums, _, _ in results)))
     col_sums: list[int] = []
-    for _, cols in results:
+    for _, cols, _ in results:
         _add_columns(col_sums, cols)
 
     def stats(total: int, total_sq: int) -> tuple[float, float]:
@@ -205,6 +309,8 @@ def sweep_at(
         sigma_lds=sigma_lds,
         staircase_fraction=hits / trials,
         mean_profile=tuple(v / trials for v in col_sums),
+        # one name, unless a worker could not load what the others did
+        kernel="+".join(sorted({kernel for _, _, kernel in results})),
     )
 
 

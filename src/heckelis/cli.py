@@ -12,7 +12,8 @@ Subcommands:
 * ``patience --ranks R --copies C --trials T --seed S --out PREFIX``.
 
 Every output artifact is accompanied by a ``<name>.manifest.json`` recording
-the subcommand, full parameter set, base seed, and code version; rerunning
+the subcommand, full parameter set, base seed, code version, and the
+kernel or dealer that ran (``compiled`` or the Python fallback); rerunning
 with the same manifest parameters reproduces the data files byte for byte
 (floats are printed with six fixed decimals, and all Monte Carlo
 accumulation is integer counts merged commutatively).  A command that fails
@@ -40,6 +41,7 @@ from .asymptotics import (
     line_curve,
     plancherel_curve,
     profile_function,
+    sampling_kernel,
     sup_norm_distance,
     sweep_at,
     trial_shapes,
@@ -170,7 +172,8 @@ def cmd_sample(args) -> int:
         for t, s in enumerate(shapes)
     )
     _publish(args.out, "sample", params, args.seed,
-             [(args.out, _csv(params, args.seed, ["trial", "seed", "shape", "lis", "lds"], rows))])
+             [(args.out, _csv(params, args.seed, ["trial", "seed", "shape", "lis", "lds"], rows))],
+             kernel=sampling_kernel())
     print(f"wrote {args.out}")
     return 0
 
@@ -189,16 +192,18 @@ def cmd_sweep(args) -> int:
         "k_grid": args.k_grid or [],
         "snapshots": args.snapshots,
     }
-    rows = []
+    rows, kernels = [], set()
     for label, q in grid:
         res = sweep_at(args.n, q, args.trials, args.seed, threads=args.threads)
+        kernels.add(res.kernel)
         rows.append([args.n, q, label, args.trials,
                      _fmt(res.mean_lis), _fmt(res.mean_lds),
                      _fmt(res.sigma_lis), _fmt(res.sigma_lds),
                      _fmt(res.staircase_fraction)])
     header = ["n", "q", "alpha_or_k", "trials", "mean_lis", "mean_lds",
               "sigma_lis", "sigma_lds", "staircase_fraction"]
-    _publish(args.out, "sweep", params, args.seed, [(args.out, _csv(params, args.seed, header, rows))])
+    _publish(args.out, "sweep", params, args.seed, [(args.out, _csv(params, args.seed, header, rows))],
+             kernel="+".join(sorted(kernels)))
     print(f"wrote {args.out}")
     return 0
 
@@ -223,7 +228,7 @@ def cmd_curve(args) -> int:
                        "sup_distance_line": _fmt(dist_line)}
     _publish(args.out, "curve", manifest_params, args.seed, [
         (args.out, _csv(params, args.seed, ["x", "f_hat", "plancherel_curve", "line"], rows)),
-    ])
+    ], kernel=res.kernel)
     print(f"wrote {args.out}")
     print(f"sup-norm distance to plancherel curve: {_fmt(dist_curve)}")
     print(f"sup-norm distance to staircase line:   {_fmt(dist_line)}")

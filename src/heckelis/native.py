@@ -1,14 +1,19 @@
 """C kernels, compiled on first use.
 
 ``load(name)`` returns ``<name>.c``, the source beside this module, as a
-``ctypes`` library.  The first process that asks for it compiles it with
-the C compiler Python was built with (``sysconfig``'s ``CC``) into the
-per-user cache directory, ``$XDG_CACHE_HOME/heckelis`` or
-``~/.cache/heckelis``.  The library is named by a CRC of the source and
-the flags, so an edited source gets a new library, and later processes
-only load it.  When any step fails (no compiler, a compile error, a cache
-that cannot be written) ``load`` returns None and the caller runs its
-Python path, which is also the kernel's test oracle.
+``ctypes`` library.  There is one such source, ``sampling.c``: Philox and
+numpy's draw rules, with the deck dealer of ``patience`` and the word and
+shape kernels of ``asymptotics`` built on them.  The first process that
+asks for it compiles it with the C compiler Python was built with
+(``sysconfig``'s ``CC``) into the per-user cache directory,
+``$XDG_CACHE_HOME/heckelis`` or ``~/.cache/heckelis``.  The library is
+named by a CRC of the source and the flags, so an edited source gets a new
+library, later processes only load it, and a build deletes the libraries
+that other sources of the same name built over a day ago.  When any step
+fails (no compiler on PATH, a compile error, a cache that cannot be
+written) ``load`` returns None and the caller runs its Python path, which
+is also the kernel's test oracle; where no compiler is on PATH, it runs no
+process and makes no directory.
 
 The package imports this module only when a kernel is first asked for, so
 importing the command line loads neither it nor ``subprocess`` nor
@@ -17,35 +22,53 @@ importing the command line loads neither it nor ``subprocess`` nor
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import time
 import zlib
 from pathlib import Path
 
 _FLAGS = ("-O2", "-shared", "-fPIC")
+_STALE_SECONDS = 24 * 3600  # the age at which another source's library is deleted
 _libraries: dict[str, ctypes.CDLL | None] = {}  # each name is loaded once per process
 
 
 def _compile(source: Path, target: Path) -> None:
     import shlex
+    import shutil
     import subprocess
     import sysconfig
 
-    compiler = sysconfig.get_config_var("CC")
-    if not compiler:
-        raise OSError("Python names no C compiler")
+    command = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not command or shutil.which(command[0]) is None:
+        raise OSError("no C compiler on PATH")
     target.parent.mkdir(parents=True, exist_ok=True)
     # built beside the target and renamed into place, so that a process that
     # finds the library finds it whole, whoever else is building it
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        subprocess.run([*shlex.split(compiler), *_FLAGS, "-o", str(tmp), str(source)],
+        subprocess.run([*command, *_FLAGS, "-o", str(tmp), str(source)],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, target)
     except subprocess.SubprocessError as err:
         raise OSError(f"compiling {source.name} failed: {err}") from err
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _remove_stale(library: Path, name: str) -> None:
+    """Delete the libraries beside ``library`` that other sources of
+    ``name`` built over a day ago; one that cannot be deleted stays.
+
+    A younger one may belong to another checkout still in use, such as the
+    parent commit that a benchmark runs in turns with a change; deleting
+    it would make the two checkouts rebuild on every run."""
+    cutoff = time.time() - _STALE_SECONDS
+    for stale in library.parent.glob(f"{name}-????????.so"):
+        with contextlib.suppress(OSError):
+            if stale != library and stale.stat().st_mtime < cutoff:
+                stale.unlink()
 
 
 def _build(name: str) -> ctypes.CDLL | None:
@@ -56,6 +79,7 @@ def _build(name: str) -> ctypes.CDLL | None:
         library = Path(cache, "heckelis", f"{name}-{crc:08x}.so")
         if not library.exists():
             _compile(source, library)
+            _remove_stale(library, name)
         return ctypes.CDLL(str(library))
     except OSError:
         return None

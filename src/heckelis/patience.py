@@ -6,12 +6,13 @@ legal pile) the pile tops weakly increase left to right, so the legal pile
 is found by binary search.
 
 ``play_greedy`` deals one word and is the rule.  ``deck_simulation``
-shuffles and deals whole blocks of decks in one call of the compiled
-``deal_decks`` (``deal.c``), which keeps only the pile counts and sizes.
-Where no C compiler builds it, the numpy dealer runs instead: it shuffles
-each deck with its trial's generator and deals a block at once with
-``deal_piles``.  Both must agree with ``play_greedy`` deck by deck, and the
-numpy dealer is the compiled one's oracle.
+shuffles and deals whole blocks of decks in one call of ``deal_decks``,
+compiled from ``sampling.c``, the package's one C source; it keeps only
+the pile counts and sizes.  Where no C compiler builds it, the numpy
+dealer runs instead: it shuffles each deck with its trial's generator and
+deals a block at once with ``deal_piles``.  Both must agree with
+``play_greedy`` deck by deck, and the numpy dealer is the compiled one's
+oracle.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _compiled_dealer():
     """The compiled ``deal_decks``, or None where it cannot be built."""
     from .native import load
 
-    library = load("deal")
+    library = load("sampling")
     if library is None:
         return None
     deal = library.deal_decks

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from heckelis import native, patience
+from heckelis import asymptotics, native, patience
 from heckelis.tableaux import YoungDiagram
 from heckelis.words import Word
 
@@ -26,7 +26,7 @@ def compiled_dealer():
     compiler is on PATH, and fails if one is but the dealer is not built."""
     if c_compiler() is None:
         pytest.skip("no C compiler on PATH, so the compiled dealer cannot be built")
-    assert patience._compiled_dealer() is not None, "a C compiler is on PATH, but deal.c did not load"
+    assert patience._compiled_dealer() is not None, "a C compiler is on PATH, but sampling.c did not load"
     return "compiled"
 
 
@@ -38,9 +38,27 @@ def numpy_dealer(monkeypatch):
 
 
 @pytest.fixture
+def compiled_kernel():
+    """The test runs the compiled sampling kernels; it skips only where no C
+    compiler is on PATH, and fails if one is but the kernels are not built."""
+    if c_compiler() is None:
+        pytest.skip("no C compiler on PATH, so the compiled kernels cannot be built")
+    assert asymptotics._compiled() is not None, "a C compiler is on PATH, but sampling.c did not load"
+    return "compiled"
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """The test runs the Python sampling kernels: the loader is forced to None."""
+    monkeypatch.setattr(asymptotics, "_compiled", lambda: None)
+    return "python"
+
+
+@pytest.fixture
 def missing_compiler(monkeypatch, tmp_path_factory):
     """The test runs with an empty kernel cache and a C compiler command
-    that does not exist, so the loader falls back to the numpy dealer."""
+    that does not exist, so every kernel falls back to its Python path (the
+    value names the deck dealer that runs)."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
     monkeypatch.setattr(native, "_libraries", {})
     config_var = sysconfig.get_config_var
@@ -53,6 +71,13 @@ def missing_compiler(monkeypatch, tmp_path_factory):
 def dealer(request):
     """Each way a deck simulation can run; the value is the dealer that runs."""
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(params=["compiled_kernel", "python_kernel", "missing_compiler"])
+def kernel(request):
+    """Each way a sampler can run; the value is the kernel that runs."""
+    request.getfixturevalue(request.param)
+    return "compiled" if request.param == "compiled_kernel" else "python"
 
 
 @st.composite

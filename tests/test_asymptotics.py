@@ -20,6 +20,7 @@ from heckelis.asymptotics import (
     sup_norm_distance,
     sweep_at,
     trial_shapes,
+    trial_words,
     word_statistics,
 )
 from heckelis.insertion import heckeshape
@@ -350,7 +351,8 @@ class TestLetterPath:
                 assert shape == heckeshape(random_word(n, q, trial_stream(11, t))), (n, t)
 
     @pytest.mark.parametrize("n, q", [(10**4, 3), (10**4, 8), (400, 20), (200, 30), (50, 1)])
-    def test_draws_stop_at_the_chunk_holding_the_staircase(self, n, q, monkeypatch):
+    def test_draws_stop_at_the_chunk_holding_the_staircase(self, n, q, monkeypatch,
+                                                           python_kernel):
         drawn = []
 
         def counted(rng, size, q):
@@ -392,6 +394,84 @@ class TestLetterPath:
         assert built == []
         random_word(3, 2, 1)
         assert len(built) == 1  # the counter does see a Word being built
+
+
+def python_paths(n, q, seed, stop, start=0):
+    """Each trial's word statistics and shape parts by the Python kernels."""
+    words = list(word_statistics(trial_words(n, q, seed, stop, start), n, q))
+    return words, list(asymptotics._python_shapes(n, q, seed, stop, start))
+
+
+def compiled_paths(library, n, q, seed, stop, start=0):
+    """The same by the compiled kernels."""
+    words = asymptotics._compiled_word_statistics(library, n, q, seed, stop, start)
+    return list(words), list(asymptotics._compiled_shapes(library, n, q, seed, stop, start))
+
+
+class TestCompiledKernels:
+    """Both compiled kernels against the Python kernels, their oracles, trial
+    by trial: the same letters drawn, the same statistics and shapes."""
+
+    @pytest.fixture
+    def library(self, compiled_kernel):
+        return asymptotics._compiled()
+
+    def test_small_words(self, library):
+        # four trials per word reach all but about e**-4 of the words, and
+        # the hundred more all the words of the smallest ranges
+        for q in range(1, 5):
+            for n in range(0, 8):
+                trials, seed = 4 * q**n + 100, 100 * q + n
+                words = list(trial_words(n, q, seed, trials))
+                assert len(set(map(tuple, words))) >= 0.97 * q**n, (n, q)
+                assert compiled_paths(library, n, q, seed, trials) == (
+                    list(word_statistics(words, n, q)),
+                    list(asymptotics._python_shapes(n, q, seed, trials, 0))), (n, q)
+
+    @pytest.mark.parametrize(
+        "n, q, trials",
+        [
+            (0, 1, 3), (1, 1, 3), (500, 1, 3),  # q = 1 draws nothing
+            (0, 5, 3),
+            # 32-bit draws: Lemire's, rejecting a quarter of them at q = 3 * 2**30,
+            # and the plain word at q = 2**32
+            (40, 3 * 2**30, 200), (40, 2**32 - 1, 200), (40, 2**32, 200),
+            # 64-bit draws: Lemire's, rejecting a quarter of them at q = 3 * 2**61
+            (40, 2**32 + 1, 200), (40, 3 * 2**61, 200), (40, 2**63 - 1, 200),
+            # q(q+1)/2 = 6 just above, at and just below n, then far below
+            (5, 3, 500), (6, 3, 500), (7, 3, 500), (200, 3, 200),
+            (35, 8, 300), (36, 8, 300), (37, 8, 300), (2000, 8, 100),
+            (3000, 60, 20), (10**4, 10**4, 4),
+        ],
+    )
+    def test_edge_sizes(self, library, n, q, trials):
+        assert compiled_paths(library, n, q, 3, trials) == python_paths(n, q, 3, trials)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(1000, 1100), (5, 1100), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64)],
+        ids=["mid-range", "two-key-chunks", "high-word", "last-trials"],
+    )
+    def test_blocks(self, library, start, stop):
+        assert compiled_paths(library, 30, 4, 9, stop, start) == python_paths(30, 4, 9, stop, start)
+
+    def test_sweep_and_shapes_on_both_paths(self, library, monkeypatch):
+        compiled = [sweep_at(500, 12, 70, 4, profile=profile) for profile in (False, True)]
+        shapes = list(trial_shapes(500, 12, 4, 70))
+        monkeypatch.setattr(asymptotics, "_compiled", lambda: None)
+        assert [sweep_at(500, 12, 70, 4, profile=profile) for profile in (False, True)] == compiled
+        assert list(trial_shapes(500, 12, 4, 70)) == shapes
+        assert [res.kernel for res in compiled] == ["compiled", "compiled"]
+        assert sweep_at(500, 12, 70, 4).kernel == "python"
+
+    @pytest.mark.parametrize("q", [8, 10**9])
+    def test_words_past_int64_rejected_before_drawing(self, q, kernel):
+        with pytest.raises(ValueError, match="more than 2[*][*]63 - 1"):
+            sweep_at(10**20, q, 1, 1)
+        with pytest.raises(ValueError, match="more than 2[*][*]63 - 1"):
+            trial_shapes(10**20, 2**40, 1, 1)  # 2**40 * (2**40 + 1) / 2 letters before the staircase
+        # the shape kernel reaches staircase(8) long before 2**63 letters
+        assert list(trial_shapes(10**20, 8, 1, 2)) == [staircase(8)] * 2
 
 
 class TestErdosSzekeres:

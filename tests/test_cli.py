@@ -117,6 +117,22 @@ class TestExact:
         )
 
 
+SAMPLE_DIGESTS = [
+    (100, 10, 500, 7, "bf70f60194bb34e1c49966bb86056a7fae8cf55dee74eacb39808abcaca5f108"),
+    (60, 3, 200, 11, "f0b11e3c137b005b3f45f42e30852bbb368056f379d0eb8654f9eaca7ce1ed76"),
+    # a first chunk of 465 letters, then a partial 535
+    (1000, 30, 40, 2, "bfdb7cb8381cd030c1db44b90ee1cab41c44c12dc842f75a54f40d789d1939f4"),
+]
+SAMPLE_IDS = ["readme", "staircase-q3", "two-chunks-q30"]
+
+
+def run_pinned_sample(tmp_path, n, q, trials, seed, digest):
+    out = tmp_path / "s.csv"
+    assert run_cli(["sample", "--n", n, "--q", q, "--trials", trials,
+                    "--seed", seed, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestSample:
     def test_csv_and_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -132,21 +148,17 @@ class TestSample:
         assert len(lines) == 2 + 8
         assert (tmp_path / "a.csv.manifest.json").exists()
 
-    @pytest.mark.parametrize(
-        "n, q, trials, seed, digest",
-        [
-            (100, 10, 500, 7, "bf70f60194bb34e1c49966bb86056a7fae8cf55dee74eacb39808abcaca5f108"),
-            (60, 3, 200, 11, "f0b11e3c137b005b3f45f42e30852bbb368056f379d0eb8654f9eaca7ce1ed76"),
-            # a first chunk of 465 letters, then a partial 535
-            (1000, 30, 40, 2, "bfdb7cb8381cd030c1db44b90ee1cab41c44c12dc842f75a54f40d789d1939f4"),
-        ],
-        ids=["readme", "staircase-q3", "two-chunks-q30"],
-    )
+    @pytest.mark.parametrize("n, q, trials, seed, digest", SAMPLE_DIGESTS, ids=SAMPLE_IDS)
     def test_bytes_pinned(self, n, q, trials, seed, digest, tmp_path, capsys):
-        out = tmp_path / "s.csv"
-        assert run_cli(["sample", "--n", n, "--q", q, "--trials", trials,
-                        "--seed", seed, "--out", out]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        run_pinned_sample(tmp_path, n, q, trials, seed, digest)
+
+    # the Python kernels, forced or as the fallback where no compiler runs, write the same bytes
+    @pytest.mark.parametrize("fallback", ["python_kernel", "missing_compiler"])
+    @pytest.mark.parametrize("n, q, trials, seed, digest", SAMPLE_DIGESTS, ids=SAMPLE_IDS)
+    def test_bytes_pinned_on_the_python_kernels(self, n, q, trials, seed, digest, fallback,
+                                                request, tmp_path, capsys):
+        request.getfixturevalue(fallback)
+        run_pinned_sample(tmp_path, n, q, trials, seed, digest)
 
     @pytest.mark.parametrize("n", [0, 30])
     def test_rows_follow_the_shape(self, n, tmp_path):
@@ -163,6 +175,23 @@ class TestSample:
             assert int(lis) == (parts[0] if parts else 0)
             assert int(lds) == len(parts)
             assert sum(parts) <= n and (parts == []) == (n == 0)
+
+
+    def test_words_past_int64_stop_at_the_staircase(self, kernel, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli(["sample", "--n", 10**20, "--q", 8, "--trials", 3, "--seed", 1,
+                        "--out", out]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert [row.split(",")[2:] for row in rows] == [["8 7 6 5 4 3 2 1", "8", "8"]] * 3
+
+
+def run_pinned_sweep(tmp_path, threads):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--n", "400", "--alpha-grid", "0.25", "0.45", "0.5", "0.75",
+                    "1.0", "--k-grid", "0.5", "1", "2", "--trials", "20", "--seed", "7",
+                    "--threads", threads, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b38317431f61294e370b6b935dd5baab8377340ea18d6af7685e0e4e4ec06e84")
 
 
 class TestSweep:
@@ -194,12 +223,22 @@ class TestSweep:
     # both grids, with q from 4 to 400; the digest holds at any thread count
     @pytest.mark.parametrize("threads", [1, 2])
     def test_bytes_pinned(self, threads, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert run_cli(["sweep", "--n", "400", "--alpha-grid", "0.25", "0.45", "0.5", "0.75",
-                        "1.0", "--k-grid", "0.5", "1", "2", "--trials", "20", "--seed", "7",
-                        "--threads", threads, "--out", out]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "b38317431f61294e370b6b935dd5baab8377340ea18d6af7685e0e4e4ec06e84")
+        run_pinned_sweep(tmp_path, threads)
+
+    @pytest.mark.parametrize("fallback", ["python_kernel", "missing_compiler"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bytes_pinned_on_the_python_kernels(self, threads, fallback, request, tmp_path,
+                                                capsys):
+        request.getfixturevalue(fallback)
+        run_pinned_sweep(tmp_path, threads)
+
+    def test_words_past_int64_are_a_usage_error(self, kernel, tmp_path, capsys):
+        # the word kernel would draw every one of the 10**20 letters
+        assert run_cli(["sweep", "--n", 10**20, "--alpha-grid", "0.1", "--trials", 1,
+                        "--threads", 1, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a trial may draw 100000000000000000000 letters, more than 2**63 - 1\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_a_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -214,6 +253,40 @@ class TestSweep:
         ) == 0
         assert capsys.readouterr().out == f"wrote {out}\n"
         assert out.read_text().splitlines()[2].startswith("0,1,alpha=0,3,0.000000,")
+
+
+CURVE_DIGESTS = [
+    (["--n", 400, "--q", 4, "--trials", 8, "--seed", 7, "--threads", 1],
+     "04b58a2750ddf826af219f8e951dc91a11e148c8e2e200c4fe6b4acc6543c034",
+     ("0.606756", "0.249975")),
+    # q * q >= n: the sqrt regime
+    (["--n", 900, "--q", 30, "--trials", 20, "--seed", 7, "--threads", 1],
+     "1019bd0c33f64738d7063b19ca82dd899e87cea51946596499fedc0b12c95d6c",
+     ("0.508333", "0.565833")),
+    (["--n", 2000, "--q", 12, "--trials", 40, "--seed", 3, "--threads", 2],
+     "c612974f5067038b7049583108e947b8f3c342f284a1f23e881906f6355fcbe0",
+     ("0.446335", "0.083308")),
+    # a first chunk of 210 letters, then a partial 190
+    (["--n", 400, "--q", 20, "--trials", 50, "--seed", 5, "--threads", 1],
+     "28d175efce4361243ad62f64e5da03b06704854e16bbb348a92004f6cc86ba05",
+     ("0.510500", "0.568000")),
+    # the benchmark's curve-staircase command at its recorded seed
+    (["--n", 10000, "--q", 8, "--trials", 300, "--seed", 7, "--threads", 2],
+     "9a109b7f60c4d4f03dbf1905ad43db97efe912233f2ab13ec147e21941399d73",
+     ("0.484502", "0.124987")),
+]
+CURVE_IDS = ["staircase-q4", "sqrt-q30", "staircase-q12-threads2", "sqrt-q20-two-chunks",
+             "bench-curve-staircase"]
+
+
+def run_pinned_curve(tmp_path, capsys, args, digest, distances):
+    out = tmp_path / "curve.csv"
+    assert run_cli(["curve", *args, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"sup-norm distance to plancherel curve: {distances[0]}",
+        f"sup-norm distance to staircase line:   {distances[1]}",
+    ]
 
 
 class TestCurve:
@@ -239,39 +312,16 @@ class TestCurve:
         assert run_cli(["curve", "--n", "0", "--q", "4", "--trials", "1", "--out", out]) == 2
         assert "scale is 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "args, digest, distances",
-        [
-            (["--n", 400, "--q", 4, "--trials", 8, "--seed", 7, "--threads", 1],
-             "04b58a2750ddf826af219f8e951dc91a11e148c8e2e200c4fe6b4acc6543c034",
-             ("0.606756", "0.249975")),
-            # q * q >= n: the sqrt regime
-            (["--n", 900, "--q", 30, "--trials", 20, "--seed", 7, "--threads", 1],
-             "1019bd0c33f64738d7063b19ca82dd899e87cea51946596499fedc0b12c95d6c",
-             ("0.508333", "0.565833")),
-            (["--n", 2000, "--q", 12, "--trials", 40, "--seed", 3, "--threads", 2],
-             "c612974f5067038b7049583108e947b8f3c342f284a1f23e881906f6355fcbe0",
-             ("0.446335", "0.083308")),
-            # a first chunk of 210 letters, then a partial 190
-            (["--n", 400, "--q", 20, "--trials", 50, "--seed", 5, "--threads", 1],
-             "28d175efce4361243ad62f64e5da03b06704854e16bbb348a92004f6cc86ba05",
-             ("0.510500", "0.568000")),
-            # the benchmark's curve-staircase command at its recorded seed
-            (["--n", 10000, "--q", 8, "--trials", 300, "--seed", 7, "--threads", 2],
-             "9a109b7f60c4d4f03dbf1905ad43db97efe912233f2ab13ec147e21941399d73",
-             ("0.484502", "0.124987")),
-        ],
-        ids=["staircase-q4", "sqrt-q30", "staircase-q12-threads2", "sqrt-q20-two-chunks",
-             "bench-curve-staircase"],
-    )
+    @pytest.mark.parametrize("args, digest, distances", CURVE_DIGESTS, ids=CURVE_IDS)
     def test_bytes_pinned(self, args, digest, distances, tmp_path, capsys):
-        out = tmp_path / "curve.csv"
-        assert run_cli(["curve", *args, "--out", out]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        assert capsys.readouterr().out.splitlines()[1:] == [
-            f"sup-norm distance to plancherel curve: {distances[0]}",
-            f"sup-norm distance to staircase line:   {distances[1]}",
-        ]
+        run_pinned_curve(tmp_path, capsys, args, digest, distances)
+
+    @pytest.mark.parametrize("fallback", ["python_kernel", "missing_compiler"])
+    @pytest.mark.parametrize("args, digest, distances", CURVE_DIGESTS, ids=CURVE_IDS)
+    def test_bytes_pinned_on_the_python_kernels(self, args, digest, distances, fallback,
+                                                request, tmp_path, capsys):
+        request.getfixturevalue(fallback)
+        run_pinned_curve(tmp_path, capsys, args, digest, distances)
 
     def test_staircase_regime_selected_for_small_alphabet(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
@@ -281,6 +331,29 @@ class TestCurve:
         ) == 0
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         assert manifest["params"]["regime"] == "staircase"
+
+
+@pytest.mark.parametrize(
+    "args, params",
+    [
+        (["sample", "--n", 30, "--q", 4, "--trials", 5],
+         {"n": 30, "q": 4, "trials": 5}),
+        (["sweep", "--n", 30, "--alpha-grid", 0.5, "--trials", 5, "--threads", 1],
+         {"n": 30, "trials": 5, "alpha_grid": [0.5], "k_grid": [], "snapshots": 0}),
+        (["curve", "--n", 30, "--q", 4, "--trials", 5, "--threads", 2, "--grid-points", 4],
+         {"n": 30, "q": 4, "trials": 5, "regime": "staircase"}),
+    ],
+    ids=["sample", "sweep", "curve"],
+)
+def test_manifest_names_the_kernel(args, params, kernel, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli([*args, "--seed", 6, "--out", out]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["kernel"] == kernel
+    # outside params, so the CSV parameter line is the same for every kernel
+    assert {k: v for k, v in manifest["params"].items() if not k.startswith("sup_")} == params
+    assert out.read_text().splitlines()[0] == "# " + " ".join(
+        f"{k}={v}" for k, v in sorted({**params, "seed": 6}.items()))
 
 
 PATIENCE_DIGESTS = [

@@ -207,7 +207,8 @@ def dealt_by_both(ranks, copies, trials, seed, monkeypatch):
 
 
 class TestCompiledDealer:
-    """``deal.c`` against the numpy dealer, its oracle, and the scalar oracle."""
+    """``deal_decks`` in ``sampling.c`` against the numpy dealer, its oracle, and the
+    scalar oracle."""
 
     @pytest.mark.parametrize("ranks, copies, trials, seed", [
         (13, 4, 10_000, 7),
