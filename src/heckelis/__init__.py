@@ -11,7 +11,9 @@ its submodule (``heckelis.words``, ``heckelis.insertion``, ...).
 
 No package code calls BLAS, so unless ``OPENBLAS_NUM_THREADS`` is already
 set the package sets it to 1 before numpy loads: OpenBLAS then starts no
-idle worker threads, which otherwise cost CPU time in every process.
+idle worker threads, which otherwise cost CPU time in every process that
+loads numpy.  No submodule imports numpy at import time; only the Python
+sampling paths, the reference curves and ``verify`` load it, where they run.
 """
 
 import os

@@ -9,17 +9,19 @@ execution order or worker count.
 
 No trial builds a ``Word``.  Each runs in one call of a kernel compiled
 from ``sampling.c``, the package's one C source (see ``native``), which
-runs the trial's Philox stream itself and draws the letters that
-``random_word`` gives for the trial's stream.  The word kernel reads a
-word's LIS, LDS and Demazure product off its letters; the shape kernel
-Hecke-inserts them and stops drawing once the shape is staircase(q).
+derives the trial's Philox key from the seed's words and the trial index,
+runs its stream itself and draws the letters that ``random_word`` gives
+for the trial's stream.  The word kernel reads a word's LIS, LDS and
+Demazure product off its letters; the shape kernel Hecke-inserts them and
+stops drawing once the shape is staircase(q).
 Where no C compiler builds them, the Python kernels run, and they are the
 compiled ones' oracles: ``trial_words`` draws a trial's n letters in one
 numpy call for ``word_statistics``, and ``_chunks`` draws them for
 ``shape_parts`` as it inserts them: the q(q+1)/2 letters that any
 staircase(q) needs first, then chunks each twice the one before.  numpy
 draws the same values in chunks as in one call, so every kernel sees the
-same letters.
+same letters.  Only the Python kernels and the reference curves use numpy,
+and each imports it where it runs, so a compiled sweep never loads it.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .insertion import shape_parts
-from .rng import trial_generators, trial_keys
+from .rng import seed_words, trial_generators
 from .tableaux import YoungDiagram, conjugate, staircase
 from .words import demazure_product, draw_letters, longest_element, patience_lis
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def grid_q(n: int, *, alpha: float | None = None, k: float | None = None) -> int:
@@ -72,6 +76,7 @@ class SweepResult:
 _BLOCK = 64  # trials per scheduling unit
 _MAX_Q = 2**63 - 1  # letters are drawn as numpy int64
 _MAX_DRAWS = 2**63 - 1  # every kernel counts a trial's letters in an int64
+_WORD_CHUNK = 1024  # trials per call of the compiled word kernel, so its output stays small
 
 
 def _check_sizes(n: int, trials: int | None = None, q: int | None = None) -> None:
@@ -100,21 +105,7 @@ def _compiled():
     """The compiled kernels, or None where they cannot be built."""
     from .native import load
 
-    library = load("sampling")
-    if library is None:
-        return None
-    i64, u64, pointer = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
-    library.word_statistics.argtypes = (pointer, i64, i64, i64, i64, pointer)
-    library.word_statistics.restype = ctypes.c_int
-    library.tableau_new.argtypes = ()
-    library.tableau_new.restype = pointer
-    library.tableau_free.argtypes = (pointer,)
-    library.tableau_free.restype = None
-    library.tableau_lengths.argtypes = (pointer,)
-    library.tableau_lengths.restype = ctypes.POINTER(i64)
-    library.insert_word.argtypes = (pointer, u64, u64, i64, i64, i64)
-    library.insert_word.restype = i64
-    return library
+    return load("sampling")
 
 
 def sampling_kernel() -> str:
@@ -136,11 +127,14 @@ def _compiled_word_statistics(library, n: int, q: int, seed: int, stop: int, sta
     """``word_statistics`` of the words of ``trial_words``, by the compiled
     word kernel, a chunk of trials per call."""
     boxes = _staircase_boxes(n, q)
-    for keys in trial_keys(seed, start, stop):
-        out = np.empty((len(keys), 3), dtype=np.int64)
-        if library.word_statistics(keys.ctypes.data, len(keys), n, q, boxes, out.ctypes.data):
+    words = seed_words(seed, start, stop)
+    for first in range(start, stop, _WORD_CHUNK):
+        trials = min(_WORD_CHUNK, stop - first)
+        out = (ctypes.c_int64 * (3 * trials))()
+        if library.word_statistics(words, first, trials, n, q, boxes, out):
             raise MemoryError(f"cannot allocate the patience piles at n={n}, q={q}")
-        for lis, lds, stair in out.tolist():
+        values = iter(out)
+        for lis, lds, stair in zip(values, values, values):
             yield lis, lds, stair == 1, ()
 
 
@@ -179,16 +173,16 @@ def _compiled_shapes(library, n: int, q: int, seed: int, stop: int, start: int):
     # _check_draws lets n past 2**63 - 1 only where staircase(q) is
     # reachable, and no run could draw 2**63 letters in any case
     n = min(n, _MAX_DRAWS)
+    words = seed_words(seed, start, stop)
     tableau = library.tableau_new()
     if not tableau:
         raise MemoryError("cannot allocate an insertion tableau")
     try:
-        for keys in trial_keys(seed, start, stop):
-            for key0, key1 in keys.tolist():
-                rows = library.insert_word(tableau, key0, key1, n, q, boxes)
-                if rows < 0:
-                    raise MemoryError(f"cannot allocate the insertion tableau at n={n}, q={q}")
-                yield tuple(library.tableau_lengths(tableau)[:rows]) if rows else ()
+        for trial in range(start, stop):
+            rows = library.insert_word(tableau, words, trial, n, q, boxes)
+            if rows < 0:
+                raise MemoryError(f"cannot allocate the insertion tableau at n={n}, q={q}")
+            yield tuple(library.tableau_lengths(tableau)[:rows]) if rows else ()
     finally:
         library.tableau_free(tableau)
 
@@ -337,9 +331,13 @@ class ShapeFunction:
         return len(self.col_counts) / self.scale
 
     def breakpoints(self) -> np.ndarray:
+        import numpy as np
+
         return np.arange(len(self.col_counts) + 1) / self.scale
 
     def step(self, x) -> np.ndarray:
+        import numpy as np
+
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         # the nudge keeps grid points that are meant to be breakpoints from
         # flooring into the previous box after the divide-multiply roundtrip
@@ -349,6 +347,8 @@ class ShapeFunction:
         return counts[cols] / self.scale
 
     def linear(self, x) -> np.ndarray:
+        import numpy as np
+
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         knots_y = np.asarray(self.col_counts + (0.0,)) / self.scale
         return np.interp(xs, self.breakpoints(), knots_y, right=0.0)
@@ -369,6 +369,8 @@ def profile_function(mean_profile, n: int, q: int, regime: str) -> ShapeFunction
 
 
 def _nonnegative(x) -> np.ndarray:
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     if (xs < 0).any():
         raise ValueError(f"curve is defined on x >= 0, got {x}")
@@ -386,6 +388,8 @@ def plancherel_curve(x):
 
     ``x`` is a number (a float comes back) or an array, bisected all at
     once; a negative entry raises ``ValueError``."""
+    import numpy as np
+
     xs = _nonnegative(x)
     lo, hi = np.zeros_like(xs), np.full_like(xs, math.pi)
     for _ in range(60):
@@ -401,6 +405,8 @@ def plancherel_curve(x):
 def line_curve(x):
     """The staircase limit: ``1 - x`` on the unit interval, then 0.  Takes
     a number or an array, like ``plancherel_curve``."""
+    import numpy as np
+
     xs = _nonnegative(x)
     return _scalar_or_array(np.where(xs < 1.0, 1.0 - xs, 0.0))
 
@@ -417,6 +423,8 @@ def sup_norm_distance(f: ShapeFunction, curve) -> float:
     where the shape is already 0 but the curve is not.  Both the step and
     the piecewise-linear forms enter the maximum.
     """
+    import numpy as np
+
     hi = max(f.max_support, 1.0)
     xs = np.concatenate([np.linspace(0.0, hi, _SUP_GRID_POINTS), f.breakpoints()])
     xs = xs[xs <= hi + 1e-12]

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .tableaux import IncreasingTableau, SetValuedStandardTableau, YoungDiagram
-from .words import Permutation, Word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,8 @@ def rsk_shape(w: Word) -> YoungDiagram:
 
     The first row length is the longest weakly increasing subsequence and
     the first column length is the LDS; kept as a contrast baseline and for
-    the RSK pushforward measure.
+    the RSK pushforward measure.  On a permutation's one-line word it is
+    the Schensted shape.
     """
     rows: list[list[int]] = []
     for x in w.letters:
@@ -227,9 +228,3 @@ def rsk_shape(w: Word) -> YoungDiagram:
             x, row[pos] = row[pos], x
             r += 1
     return YoungDiagram(tuple(len(row) for row in rows))
-
-
-def schensted_shape(p: Permutation) -> YoungDiagram:
-    """Schensted shape of a permutation; coincides with ``rsk_shape`` on its
-    one-line word."""
-    return rsk_shape(Word(p.one_line, len(p.one_line)))

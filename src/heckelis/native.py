@@ -1,12 +1,14 @@
 """C kernels, compiled on first use.
 
 ``load(name)`` returns ``<name>.c``, the source beside this module, as a
-``ctypes`` library.  There is one such source, ``sampling.c``: Philox and
-numpy's draw rules, with the deck dealer of ``patience`` and the word and
-shape kernels of ``asymptotics`` built on them.  The first process that
-asks for it compiles it with the C compiler Python was built with
-(``sysconfig``'s ``CC``) into the per-user cache directory,
-``$XDG_CACHE_HOME/heckelis`` or ``~/.cache/heckelis``.  The library is
+``ctypes`` library, with the signatures of its functions declared once, as
+``_SIGNATURES`` gives them.  There is one such source, ``sampling.c``:
+numpy's ``SeedSequence`` hash, Philox and numpy's draw rules, with the deck
+dealer of ``patience`` and the word and shape kernels of ``asymptotics``
+built on them.  The first process that asks for it compiles it with the
+C compiler Python was built with (``sysconfig``'s ``CC``) into the
+per-user cache directory, ``$XDG_CACHE_HOME/heckelis`` or
+``~/.cache/heckelis``.  The library is
 named by a CRC of the source and the flags, so an edited source gets a new
 library, later processes only load it, and a build deletes the libraries
 that other sources of the same name built over a day ago.  When any step
@@ -32,6 +34,21 @@ from pathlib import Path
 _FLAGS = ("-O2", "-shared", "-fPIC")
 _STALE_SECONDS = 24 * 3600  # the age at which another source's library is deleted
 _libraries: dict[str, ctypes.CDLL | None] = {}  # each name is loaded once per process
+
+_i64, _u64, _pointer = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+# function -> (restype, argtypes), for each source: a seed is passed as
+# ``rng.seed_words`` and a trial as its index
+_SIGNATURES = {
+    "sampling": {
+        "trial_key": (None, (_pointer, _u64, _pointer)),
+        "deal_decks": (ctypes.c_int, (_pointer, _u64, _u64, _i64, _i64, _pointer, _pointer)),
+        "word_statistics": (ctypes.c_int, (_pointer, _u64, _i64, _i64, _i64, _i64, _pointer)),
+        "tableau_new": (_pointer, ()),
+        "tableau_free": (None, (_pointer,)),
+        "tableau_lengths": (ctypes.POINTER(_i64), (_pointer,)),
+        "insert_word": (_i64, (_pointer, _pointer, _u64, _i64, _i64, _i64)),
+    },
+}
 
 
 def _compile(source: Path, target: Path) -> None:
@@ -80,13 +97,18 @@ def _build(name: str) -> ctypes.CDLL | None:
         if not library.exists():
             _compile(source, library)
             _remove_stale(library, name)
-        return ctypes.CDLL(str(library))
+        loaded = ctypes.CDLL(str(library))
     except OSError:
         return None
+    for function, (restype, argtypes) in _SIGNATURES.get(name, {}).items():
+        declared = getattr(loaded, function)
+        declared.restype, declared.argtypes = restype, argtypes
+    return loaded
 
 
 def load(name: str) -> ctypes.CDLL | None:
-    """The compiled ``<name>.c``, or None if it cannot be built or loaded."""
+    """The compiled ``<name>.c``, its signatures declared, or None if it
+    cannot be built or loaded."""
     if name not in _libraries:
         _libraries[name] = _build(name)
     return _libraries[name]

@@ -6,13 +6,13 @@ legal pile) the pile tops weakly increase left to right, so the legal pile
 is found by binary search.
 
 ``play_greedy`` deals one word and is the rule.  ``deck_simulation``
-shuffles and deals whole blocks of decks in one call of ``deal_decks``,
-compiled from ``sampling.c``, the package's one C source; it keeps only
-the pile counts and sizes.  Where no C compiler builds it, the numpy
-dealer runs instead: it shuffles each deck with its trial's generator and
-deals a block at once with ``deal_piles``.  Both must agree with
-``play_greedy`` deck by deck, and the numpy dealer is the compiled one's
-oracle.
+shuffles and deals all its decks in one call of ``deal_decks``, compiled
+from ``sampling.c``, the package's one C source; it keeps only the pile
+counts and sizes.  Where no C compiler builds it, the numpy dealer runs
+instead: it shuffles each deck with its trial's generator and deals a
+block at once with ``deal_piles``.  Both must agree with ``play_greedy``
+deck by deck, and the numpy dealer is the compiled one's oracle.  Only the
+numpy dealer loads numpy.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from __future__ import annotations
 import ctypes
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .rng import trial_generators, trial_keys
+from .rng import seed_words, trial_generators
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,8 @@ def deal_piles(decks: np.ndarray, ranks: int) -> np.ndarray:
     one ``searchsorted`` finds, in every row at once, the leftmost pile the
     next card may cover, or the sentinel when the card starts a new pile.
     """
+    import numpy as np
+
     rows, cards = decks.shape
     # int32 wherever the flat values fit, to halve the block's memory
     dtype = np.int32 if rows * (ranks + 2) <= np.iinfo(np.int32).max else np.int64
@@ -112,18 +116,32 @@ def _compiled_dealer():
     from .native import load
 
     library = load("sampling")
-    if library is None:
-        return None
-    deal = library.deal_decks
-    deal.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                     ctypes.c_void_p, ctypes.c_void_p)
-    deal.restype = ctypes.c_int
-    return deal
+    return None if library is None else library.deal_decks
 
 
-def _deal_numpy(ranks, copies_per_rank, trials, seed, histogram, size_sums) -> None:
-    """The numpy dealer: add each trial's pile count to ``histogram`` and
-    its pile sizes to ``size_sums``, as ``deal_decks`` does."""
+def _deal_compiled(deal, ranks, copies_per_rank, trials, seed) -> tuple[list, list]:
+    """The compiled dealer: the number of trials that end with k piles, for
+    each k in 0..``ranks``, and the number of cards dealt on pile i, for
+    each position i."""
+    words = seed_words(seed, 0, trials)
+    try:
+        histogram, size_sums = (ctypes.c_int64 * (ranks + 1))(), (ctypes.c_int64 * ranks)()
+    except (MemoryError, OverflowError):  # ctypes raises the latter past its size limit
+        raise MemoryError(f"cannot allocate the pile sizes of {ranks} ranks") from None
+    # one call deals every deck, unless there are 2**64, which ctypes would pass as 0
+    for first in range(0, trials, 2**63):
+        if deal(words, first, min(trials - first, 2**63), ranks, copies_per_rank, histogram,
+                size_sums):
+            raise MemoryError(f"cannot allocate a deck of {ranks * copies_per_rank} cards")
+    return histogram[:], size_sums[:]
+
+
+def _deal_numpy(ranks, copies_per_rank, trials, seed) -> tuple[list, list]:
+    """The numpy dealer: the same counts as ``_deal_compiled``."""
+    import numpy as np
+
+    histogram = np.zeros(ranks + 1, dtype=np.int64)
+    size_sums = np.zeros(ranks, dtype=np.int64)
     # the narrowest type that holds the ranks: it is shuffled and copied per deck
     deck = np.repeat(np.arange(1, ranks + 1, dtype=np.min_scalar_type(ranks)), copies_per_rank)
     block = max(_MIN_BLOCK_DECKS, _BLOCK_CARDS // deck.size)
@@ -136,6 +154,7 @@ def _deal_numpy(ranks, copies_per_rank, trials, seed, histogram, size_sums) -> N
         histogram += np.bincount(piles.max(axis=1) + 1, minlength=ranks + 1)
         # the order of the cards does not matter to the sums, so read them as stored
         size_sums += np.bincount(piles.ravel(order="K"), minlength=ranks)
+    return histogram.tolist(), size_sums.tolist()
 
 
 def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) -> DeckStats:
@@ -144,31 +163,25 @@ def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) ->
     aggregate the pile-count histogram and per-position mean pile sizes.
 
     Trial t's deck is ``generator(trial_stream(seed, t)).shuffle(deck)``
-    for the deck in rank order.  The compiled dealer runs Philox itself on
-    the keys of ``trial_keys``; the numpy dealer takes the generators of
-    ``trial_generators``."""
+    for the deck in rank order.  The compiled dealer derives each trial's
+    key from ``seed_words`` and runs Philox itself; the numpy dealer takes
+    the generators of ``trial_generators``."""
     if ranks < 1 or copies_per_rank < 1:
         raise ValueError("ranks and copies_per_rank must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cards = ranks * copies_per_rank
-    if cards > np.iinfo(np.int64).max:  # no array holds it, and ctypes would wrap it
+    if cards > 2**63 - 1:  # no array holds it, and ctypes would wrap it
         raise MemoryError(f"cannot allocate a deck of {cards} cards")
-    histogram = np.zeros(ranks + 1, dtype=np.int64)
-    size_sums = np.zeros(ranks, dtype=np.int64)
     deal = _compiled_dealer()
     if deal is None:
-        _deal_numpy(ranks, copies_per_rank, trials, seed, histogram, size_sums)
+        counts, size_sums = _deal_numpy(ranks, copies_per_rank, trials, seed)
     else:
-        for keys in trial_keys(seed, 0, trials):
-            if deal(keys.ctypes.data, len(keys), ranks, copies_per_rank,
-                    histogram.ctypes.data, size_sums.ctypes.data):
-                raise MemoryError(f"cannot allocate a deck of {cards} cards")
-    counts = histogram.tolist()
+        counts, size_sums = _deal_compiled(deal, ranks, copies_per_rank, trials, seed)
     most = max(k for k, c in enumerate(counts) if c)
     return DeckStats(
         histogram={k: c for k, c in enumerate(counts) if c},
         mean_piles=sum(k * c for k, c in enumerate(counts)) / trials,
-        mean_pile_sizes=tuple(s / trials for s in size_sums[:most].tolist()),
+        mean_pile_sizes=tuple(s / trials for s in size_sums[:most]),
         dealer="numpy" if deal is None else "compiled",
     )

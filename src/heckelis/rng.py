@@ -6,24 +6,35 @@ from ``generator(trial_stream(seed, t))``, a Philox keyed by numpy's
 ``SeedSequence(seed, spawn_key=(t,))``.  So a batch of trials gives
 identical results no matter how the trials are scheduled or parallelised.
 
-Every sampler takes its trials' generators from the block path,
+The compiled kernels of ``sampling.c`` derive each trial's Philox key
+themselves: they take the seed as ``seed_words``, the ``SeedSequence``
+pool after the seed's words, and finish the hash for each trial.  The
+Python paths take their generators from the block path,
 ``trial_generators(seed, start, stop)``.  It computes the ``SeedSequence``
-hash of a whole block of trials in one pass of uint32 array operations and
-re-keys a single Philox per trial, so each trial starts in exactly the
-state its ``trial_stream`` gives, without building a ``SeedSequence``, a
-``Philox`` and a ``Generator`` per trial.  ``trial_stream`` stays the
-definition of the contract and the block path's test oracle.
-``trial_keys`` yields the same keys as arrays, for the compiled deck
-dealer, which runs Philox itself.
+hash of a whole chunk of trials in one pass of uint32 array operations
+(``_trial_keys``) and re-keys a single Philox per trial, so each trial
+starts in exactly the state its ``trial_stream`` gives, without building a
+``SeedSequence``, a ``Philox`` and a ``Generator`` per trial.
+``trial_stream`` stays the definition of the contract, and it and
+``_trial_keys`` are the test oracles of the block path and of the C hash.
+
+Only the Python paths use numpy, so this module imports it where they
+run: a process whose trials all run compiled never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import ctypes
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def generator(seed) -> np.random.Generator:
     """Build a Philox generator from an int seed, SeedSequence or Generator."""
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
@@ -33,6 +44,8 @@ def generator(seed) -> np.random.Generator:
 
 def trial_stream(base_seed: int, trial: int) -> np.random.SeedSequence:
     """Stream for trial ``trial`` of a batch keyed by ``base_seed``."""
+    import numpy as np
+
     return np.random.SeedSequence(int(base_seed), spawn_key=(int(trial),))
 
 
@@ -107,6 +120,8 @@ def _trial_keys(seed_pool: tuple[list[int], int], start: int, stop: int) -> np.n
     """Philox keys of trials ``start .. stop-1``, shape ``(stop - start, 2)``,
     uint64: ``trial_stream(seed, t).generate_state(2, np.uint64)``.  The
     trials must share their high word (``start >> 32``)."""
+    import numpy as np
+
     pool, const = list(seed_pool[0]), seed_pool[1]
     high = start >> 32
     low = np.arange(stop - start, dtype=np.uint32) + (start & _MASK)
@@ -122,16 +137,20 @@ def _trial_keys(seed_pool: tuple[list[int], int], start: int, stop: int) -> np.n
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def trial_keys(seed: int, start: int, stop: int):
-    """Philox keys of trials ``start .. stop-1``, as ``_trial_keys`` gives
-    them, ``_KEY_CHUNK`` trials at a time: trial t's generator is
-    ``np.random.Generator(np.random.Philox(key=key))`` for its key row."""
-    seed, start, stop = int(seed), int(start), int(stop)
+def _checked_pool(seed: int, start: int, stop: int) -> tuple[list[int], int]:
+    """``_seed_pool(seed)``, once the seed and the trials are in range."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
-    return _key_chunks(_seed_pool(seed), start, stop)
+    return _seed_pool(seed)
+
+
+def seed_words(seed: int, start: int, stop: int) -> ctypes.Array:
+    """The seed as the compiled kernels take it for trials ``start .. stop-1``:
+    five uint32, the pool of ``_seed_pool`` and then its hash constant."""
+    pool, const = _checked_pool(int(seed), int(start), int(stop))
+    return (ctypes.c_uint32 * (_POOL_SIZE + 1))(*pool, const)
 
 
 def _key_chunks(seed_pool, start: int, stop: int):
@@ -148,11 +167,14 @@ def trial_generators(seed: int, start: int, stop: int):
 
     It is one ``Generator`` re-keyed before each trial, so draw from each
     before taking the next.  Keys are derived ``_KEY_CHUNK`` trials at a
-    time, as the trials are taken."""
-    return _rekeyed(trial_keys(seed, start, stop))
+    time by ``_trial_keys``, as the trials are taken."""
+    seed, start, stop = int(seed), int(start), int(stop)
+    return _rekeyed(_key_chunks(_checked_pool(seed, start, stop), start, stop))
 
 
 def _rekeyed(chunks):
+    import numpy as np
+
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     # the state Philox(SeedSequence) starts in, but for the key

@@ -1,9 +1,13 @@
 /* The compiled sampling kernels, with the one copy of Philox they share.
  *
- * Each kernel runs a trial from its Philox key, ``keys[2t], keys[2t + 1]``
- * or ``key0, key1``, from a fresh state (counter 0, empty buffer), as
- * numpy's ``Generator(Philox(key=key))`` starts, and draws exactly what the
- * Python path draws from that generator:
+ * Trial t of a batch keyed by a seed draws from
+ * ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))`` (``rng``).  A
+ * kernel takes the seed as ``seed_words``, the five 32-bit words of
+ * ``rng._seed_pool``: numpy's ``SeedSequence`` pool after the seed's words,
+ * then its hash constant.  From them and t it derives the trial's Philox
+ * key with the rest of the ``SeedSequence`` hash (``trial_key``), and runs
+ * the trial from a fresh state (counter 0, empty buffer), drawing exactly
+ * what the Python path draws from the trial's generator:
  *
  * - ``deal_decks`` shuffles decks as ``Generator.shuffle`` does and deals
  *   them with ties-allowed greedy patience (``patience``);
@@ -32,8 +36,58 @@ typedef struct {
     uint32_t half;  /* the high half of the last word, read by the next 32-bit draw */
 } philox;
 
-static philox philox_keyed(uint64_t key0, uint64_t key1) {
-    philox s = {.key = {key0, key1}, .buffer_pos = 4};
+/* numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+ * four words, hashed in with a running constant that does not depend on
+ * the entropy, then read out with a second constant */
+#define HASH_MULT_A 0x931E8875U
+#define HASH_INIT_B 0x8B51F9DDU
+#define HASH_MULT_B 0x58F38DEDU
+#define MIX_MULT_L 0xCA01F9DDU
+#define MIX_MULT_R 0x4973F715U
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const, uint32_t mult) {
+    value ^= *hash_const;
+    *hash_const *= mult;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y) {
+    uint32_t value = MIX_MULT_L * x - MIX_MULT_R * y;
+    return value ^ value >> 16;
+}
+
+/* hash one entropy word past the pool into every pool word */
+static void absorb(uint32_t *pool, uint32_t *hash_const, uint32_t word) {
+    for (int dst = 0; dst < 4; dst++) {
+        pool[dst] = mix(pool[dst], hashmix(word, hash_const, HASH_MULT_A));
+    }
+}
+
+/* The Philox key of trial t, ``SeedSequence(seed, spawn_key=(t,))
+ * .generate_state(2, uint64)``: the spawn key's words, t's low word and its
+ * high word when there is one, join the seed's pool, and the pool is read
+ * out as four words, paired little end first. */
+void trial_key(const uint32_t *seed_words, uint64_t t, uint64_t *key) {
+    uint32_t pool[4] = {seed_words[0], seed_words[1], seed_words[2], seed_words[3]};
+    uint32_t hash_const = seed_words[4];
+    absorb(pool, &hash_const, (uint32_t)t);
+    if (t >> 32) {
+        absorb(pool, &hash_const, (uint32_t)(t >> 32));
+    }
+    hash_const = HASH_INIT_B;
+    uint32_t state[4];
+    for (int i = 0; i < 4; i++) {
+        state[i] = hashmix(pool[i], &hash_const, HASH_MULT_B);
+    }
+    key[0] = state[0] | (uint64_t)state[1] << 32;
+    key[1] = state[2] | (uint64_t)state[3] << 32;
+}
+
+/* trial t's Philox in the state it starts in */
+static philox trial_philox(const uint32_t *seed_words, uint64_t t) {
+    philox s = {.buffer_pos = 4};
+    trial_key(seed_words, t, s.key);
     return s;
 }
 
@@ -173,16 +227,17 @@ static int reserve(int64_t **values, int64_t *capacity, int64_t need) {
 
 /* --- patience: shuffle and deal a block of decks ------------------------
  *
- * Deck t holds ``copies`` cards of each rank 1..``ranks`` in order and is
- * shuffled as ``Generator(Philox(key)).shuffle(deck)`` shuffles it.  It is
+ * The deck of each trial t of ``start .. start + decks - 1`` holds
+ * ``copies`` cards of each rank 1..``ranks`` in order and is shuffled as
+ * trial t's ``Generator.shuffle(deck)`` shuffles it.  It is
  * then dealt with ties-allowed greedy patience: each card goes on the
  * leftmost pile whose top is at least the card, else on a new rightmost
  * pile.  ``histogram[k]`` gains one for each deck that ends with k piles,
  * and ``size_sums[i]`` one for each card dealt on a pile i (0-based, left
  * to right).
  */
-int deal_decks(const uint64_t *keys, int64_t decks, int64_t ranks, int64_t copies,
-               int64_t *histogram, int64_t *size_sums) {
+int deal_decks(const uint32_t *seed_words, uint64_t start, uint64_t decks, int64_t ranks,
+               int64_t copies, int64_t *histogram, int64_t *size_sums) {
     /* the deck, then the pile tops: ranks * (copies + 1) values */
     if (ranks < 1 || copies < 1 || copies > INT64_MAX / ranks - 1
         || (uint64_t)(ranks * (copies + 1)) > SIZE_MAX / sizeof(int64_t)) {
@@ -194,8 +249,8 @@ int deal_decks(const uint64_t *keys, int64_t decks, int64_t ranks, int64_t copie
         return -1;
     }
     int64_t *tops = deck + cards;
-    for (int64_t t = 0; t < decks; t++) {
-        philox s = philox_keyed(keys[2 * t], keys[2 * t + 1]);
+    for (uint64_t t = 0; t < decks; t++) {
+        philox s = trial_philox(seed_words, start + t);
         for (int64_t r = 0, i = 0; r < ranks; r++) {
             for (int64_t c = 0; c < copies; c++) {
                 deck[i++] = r + 1;
@@ -236,9 +291,9 @@ static int play(int64_t **tops, int64_t *capacity, int64_t *piles, int64_t x) {
     return 0;
 }
 
-/* Trial t draws ``n`` letters over 1..``q``, as
- * ``Generator(Philox(key)).integers(1, q + 1, size=n)`` draws them, and
- * writes ``out[3t]``, the pile count of ties-allowed greedy patience on
+/* Trial start + t draws ``n`` letters over 1..``q``, as its
+ * ``Generator.integers(1, q + 1, size=n)`` draws them, and writes
+ * ``out[3t]``, the pile count of ties-allowed greedy patience on
  * them (the LIS), ``out[3t + 1]``, the same on the letters flipped as
  * q - x (the LDS), and ``out[3t + 2]``, 1 when their Demazure product is
  * w0 and 0 otherwise.  ``boxes`` is q(q+1)/2, the length of w0, or -1 when
@@ -247,8 +302,8 @@ static int play(int64_t **tops, int64_t *capacity, int64_t *piles, int64_t x) {
  * The Demazure product starts at the identity of 0..q and picks up s_x
  * whenever position x is an ascent, each time gaining one in length, so
  * it is w0 exactly when it picked up ``boxes`` of them. */
-int word_statistics(const uint64_t *keys, int64_t trials, int64_t n, int64_t q, int64_t boxes,
-                    int64_t *out) {
+int word_statistics(const uint32_t *seed_words, uint64_t start, int64_t trials, int64_t n,
+                    int64_t q, int64_t boxes, int64_t *out) {
     int64_t *up = NULL, *down = NULL, *perm = NULL;
     int64_t up_capacity = 0, down_capacity = 0;
     int status = -1;
@@ -256,7 +311,7 @@ int word_statistics(const uint64_t *keys, int64_t trials, int64_t n, int64_t q, 
         goto done;
     }
     for (int64_t t = 0; t < trials; t++) {
-        philox s = philox_keyed(keys[2 * t], keys[2 * t + 1]);
+        philox s = trial_philox(seed_words, start + (uint64_t)t);
         int64_t lis = 0, lds = 0, length = 0;
         for (int64_t i = 0; perm != NULL && i <= q; i++) {
             perm[i] = i;
@@ -390,15 +445,15 @@ static int insert(tableau *t, int64_t x) {
     }
 }
 
-/* Draw up to ``n`` letters over 1..``q`` from the key, as
+/* Draw up to ``n`` letters over 1..``q`` for trial ``trial``, as
  * ``word_statistics`` does, and Hecke-insert each into ``t``, emptied
  * first.  Stop early once ``boxes`` boxes are added: q(q+1)/2 is the
  * staircase(q), which holds every increasing tableau over 1..q, so the
  * shape is final (-1: never).  Returns the number of rows, whose lengths
  * ``tableau_lengths`` gives, or -1. */
-int64_t insert_word(tableau *t, uint64_t key0, uint64_t key1, int64_t n, int64_t q,
-                    int64_t boxes) {
-    philox s = philox_keyed(key0, key1);
+int64_t insert_word(tableau *t, const uint32_t *seed_words, uint64_t trial, int64_t n,
+                    int64_t q, int64_t boxes) {
+    philox s = trial_philox(seed_words, trial);
     int64_t added = 0;
     t->rows = 0;
     for (int64_t i = 0; i < n && added != boxes; i++) {

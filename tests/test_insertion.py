@@ -15,7 +15,6 @@ from heckelis.insertion import (
     insertion_tableau,
     rsk_shape,
     shape_parts,
-    schensted_shape,
 )
 from heckelis.tableaux import (
     IncreasingTableau,
@@ -25,7 +24,6 @@ from heckelis.tableaux import (
     staircase,
 )
 from heckelis.words import (
-    Permutation,
     Word,
     _lis_lengths,
     draw_letters,
@@ -415,7 +413,7 @@ class TestRskBaselines:
             for line in permutations(range(1, m + 1)):
                 w = Word(line, m)
                 pair = hecke(w)
-                assert pair.shape == schensted_shape(Permutation(line))
+                assert pair.shape == rsk_shape(w)
                 assert all(len(s) == 1 for row in pair.q.rows for s in row)
 
 

@@ -77,10 +77,11 @@ def test_source_compiles_without_warnings(compiler, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def in_fresh_interpreter(script: str) -> str:
+def in_fresh_interpreter(script: str, stream: str = "stdout") -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True).stdout
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    return getattr(result, stream)
 
 
 def test_importing_the_cli_loads_no_kernel_machinery():
@@ -88,7 +89,7 @@ def test_importing_the_cli_loads_no_kernel_machinery():
         "import sys, heckelis.cli\n"
         "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
         "print([m for m in ('heckelis.native', 'subprocess', 'sysconfig', 'hashlib',"
-        " 'numpy.random') if m in sys.modules], 'sampling-' in maps)\n")
+        " 'numpy') if m in sys.modules], 'sampling-' in maps)\n")
     assert out == "[] False\n"
 
 
@@ -97,7 +98,7 @@ def test_compiled_sweep_needs_no_numpy_random(compiler):
         "import sys\n"
         "from heckelis.asymptotics import sweep_at\n"
         "print(sweep_at(300, 10, 20, 1).kernel, sweep_at(300, 10, 20, 1, profile=True).kernel,"
-        " [m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])\n")
+        " [m for m in ('numpy', 'secrets', '_hashlib') if m in sys.modules])\n")
     assert out == "compiled compiled []\n"
 
 
@@ -106,5 +107,24 @@ def test_compiled_dealer_needs_no_numpy_random(compiler):
         "import sys\n"
         "from heckelis.patience import deck_simulation\n"
         "print(deck_simulation(13, 4, 50, 1).dealer,"
-        " [m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])\n")
+        " [m for m in ('numpy', 'secrets', '_hashlib') if m in sys.modules])\n")
     assert out == "compiled []\n"
+
+
+def test_compiled_commands_never_load_numpy(compiler, tmp_path):
+    # every command whose trials run compiled, and exact, which draws nothing
+    out = in_fresh_interpreter(
+        "import sys\n"
+        "from heckelis.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [main(argv) for argv in (\n"
+        "    ['sweep', '--n', '1000', '--alpha-grid', '0.5', '1', '--trials', '70',"
+        " '--seed', '3', '--threads', '1', '--out', out + '/sweep.csv'],\n"
+        "    ['sample', '--n', '300', '--q', '8', '--trials', '70', '--seed', '3',"
+        " '--out', out + '/sample.csv'],\n"
+        "    ['patience', '--ranks', '13', '--copies', '4', '--trials', '2000', '--seed', '3',"
+        " '--out', out + '/deck'],\n"
+        "    ['exact', '--n', '4', '--q', '3'],\n"
+        ")]\n"
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n", stream="stderr")
+    assert out == "[0, 0, 0, 0] False\n"

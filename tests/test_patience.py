@@ -233,6 +233,12 @@ class TestCompiledDealer:
         assert compiled.dealer == "compiled"
         assert compiled == numpy
 
+    # 8 TB of pile sizes, then more than a ctypes array may hold
+    @pytest.mark.parametrize("ranks", [10**12, 2**62])
+    def test_too_many_ranks_is_memory_error(self, ranks, compiled_dealer):
+        with pytest.raises(MemoryError, match=f"cannot allocate the pile sizes of {ranks} ranks"):
+            deck_simulation(ranks, 1, 1, 0)
+
     @pytest.mark.parametrize("ranks, copies, trials, seed", ORACLE_SIZES)
     def test_equals_scalar_oracle(self, ranks, copies, trials, seed, compiled_dealer):
         stats = deck_simulation(ranks, copies, trials, seed)

@@ -1,11 +1,16 @@
-"""The block path ``trial_generators`` against the stream contract it
-reproduces: trial t of seed s draws from ``generator(trial_stream(s, t))``,
-the oracle ``trial_generator`` in ``tests/oracles.py``."""
+"""The block path ``trial_generators`` and the compiled key hash against
+the stream contract they reproduce: trial t of seed s draws from
+``generator(trial_stream(s, t))``, the oracle ``trial_generator`` in
+``tests/oracles.py``."""
 
+import ctypes
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from heckelis.rng import trial_generators, trial_stream
+from heckelis.rng import _seed_pool, _trial_keys, seed_words, trial_generators, trial_stream
 
 from oracles import trial_generator
 
@@ -75,7 +80,48 @@ def test_keys_are_derived_as_the_trials_are_taken():
 def test_out_of_range_raises_at_the_call(seed, start, stop):
     with pytest.raises(ValueError):
         trial_generators(seed, start, stop)
+    with pytest.raises(ValueError):
+        seed_words(seed, start, stop)
 
 
 def test_empty_range():
     assert list(trial_generators(7, 5, 5)) == []
+
+
+def compiled_key(library, seed, trial):
+    """Trial ``trial``'s Philox key by ``trial_key`` in ``sampling.c``."""
+    key = (ctypes.c_uint64 * 2)()
+    library.trial_key(seed_words(seed, trial, trial + 1), trial, key)
+    return tuple(key)
+
+
+def assert_key_matches_the_oracles(library, seed, trial):
+    key = compiled_key(library, seed, trial)
+    assert key == tuple(trial_stream(seed, trial).generate_state(2, np.uint64).tolist())
+    assert key == tuple(_trial_keys(_seed_pool(seed), trial, trial + 1)[0].tolist())
+
+
+class TestCompiledKeyHash:
+    """``trial_key``, the ``SeedSequence`` spawn-key hash of ``sampling.c``,
+    against ``trial_stream`` and ``_trial_keys``, its oracles."""
+
+    @pytest.fixture
+    def library(self, compiled_kernel):
+        from heckelis.native import load
+
+        return load("sampling")
+
+    # both sides of the first key chunk and of the first two-word trial index,
+    # and the last trial there is
+    @pytest.mark.parametrize("trial", [0, 1023, 1024, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1])
+    # 2**128 + 3 has five 32-bit words, one more than the pool holds
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**128 + 3])
+    def test_edge_trials_and_seeds(self, library, seed, trial):
+        assert_key_matches_the_oracles(library, seed, trial)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**200), trial=st.integers(0, 2**64 - 1))
+    def test_random_trials_and_seeds(self, library, seed, trial):
+        assert_key_matches_the_oracles(library, seed, trial)
+

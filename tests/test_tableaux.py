@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from heckelis.insertion import schensted_shape
+from heckelis.insertion import rsk_shape
 from heckelis.kjdt import MixedTableau
 from heckelis.tableaux import (
     EMPTY_DIAGRAM,
@@ -276,7 +276,7 @@ class TestHookFormulas:
         for n in range(1, 7):
             tally = {}
             for line in permutations(range(1, n + 1)):
-                s = schensted_shape(Permutation(line))
+                s = rsk_shape(Word(line, n))
                 tally[s] = tally.get(s, 0) + 1
             for shape, count in tally.items():
                 assert count == count_standard(shape) ** 2
