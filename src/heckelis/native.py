@@ -4,11 +4,11 @@
 ``ctypes`` library, with the signatures of its functions declared once, as
 ``_SIGNATURES`` gives them.  There is one such source, ``sampling.c``:
 numpy's ``SeedSequence`` hash, Philox and numpy's draw rules, with the deck
-dealer of ``patience`` and the word and shape kernels of ``asymptotics``
-built on them.  The first process that asks for it compiles it with the
-C compiler Python was built with (``sysconfig``'s ``CC``) into the
-per-user cache directory, ``$XDG_CACHE_HOME/heckelis`` or
-``~/.cache/heckelis``.  The library is
+dealer of ``patience``, the word and shape kernels of ``asymptotics`` and
+the word drawer of ``words`` (``verify``'s random words) built on them.
+The first process that asks for it compiles it with the C compiler Python
+was built with (``sysconfig``'s ``CC``) into the per-user cache directory,
+``$XDG_CACHE_HOME/heckelis`` or ``~/.cache/heckelis``.  The library is
 named by a CRC of the source and the flags, so an edited source gets a new
 library, later processes only load it, and a build deletes the libraries
 that other sources of the same name built over a day ago.  When any step
@@ -42,6 +42,7 @@ _SIGNATURES = {
     "sampling": {
         "trial_key": (None, (_pointer, _u64, _pointer)),
         "deal_decks": (ctypes.c_int, (_pointer, _u64, _u64, _i64, _i64, _pointer, _pointer)),
+        "draw_word": (None, (_pointer, _u64, _i64, _i64, _pointer)),
         "word_statistics": (ctypes.c_int, (_pointer, _u64, _i64, _i64, _i64, _i64, _pointer)),
         "tableau_new": (_pointer, ()),
         "tableau_free": (None, (_pointer,)),

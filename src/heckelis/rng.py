@@ -6,9 +6,11 @@ from ``generator(trial_stream(seed, t))``, a Philox keyed by numpy's
 ``SeedSequence(seed, spawn_key=(t,))``.  So a batch of trials gives
 identical results no matter how the trials are scheduled or parallelised.
 
-The compiled kernels of ``sampling.c`` derive each trial's Philox key
-themselves: they take the seed as ``seed_words``, the ``SeedSequence``
-pool after the seed's words, and finish the hash for each trial.  The
+The compiled kernels of ``sampling.c`` (the samplers of ``asymptotics``,
+the deck dealer of ``patience`` and the word drawer behind
+``words.random_words``) derive each trial's Philox key themselves: they
+take the seed as ``seed_words``, the ``SeedSequence`` pool after the
+seed's words, and finish the hash for each trial.  The
 Python paths take their generators from the block path,
 ``trial_generators(seed, start, stop)``.  It computes the ``SeedSequence``
 hash of a whole chunk of trials in one pass of uint32 array operations

@@ -11,6 +11,8 @@
  *
  * - ``deal_decks`` shuffles decks as ``Generator.shuffle`` does and deals
  *   them with ties-allowed greedy patience (``patience``);
+ * - ``draw_word`` draws one word's letters as ``Generator.integers(1, q + 1)``
+ *   does (``words.random_words``, the random words of ``verify``);
  * - ``word_statistics`` draws a word's letters as
  *   ``Generator.integers(1, q + 1)`` does and reads off its LIS, its LDS
  *   and whether its Demazure product is w0 (``asymptotics``, word kernel);
@@ -273,6 +275,18 @@ int deal_decks(const uint32_t *seed_words, uint64_t start, uint64_t decks, int64
     }
     free(deck);
     return 0;
+}
+
+/* --- one word's letters ------------------------------------------------ */
+
+/* Trial ``trial`` draws ``n`` letters over 1..``q`` into ``out``, as its
+ * ``Generator.integers(1, q + 1, size=n)`` draws them (``verify``'s random
+ * words, ``words.random_words``). */
+void draw_word(const uint32_t *seed_words, uint64_t trial, int64_t n, int64_t q, int64_t *out) {
+    philox s = trial_philox(seed_words, trial);
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = 1 + (int64_t)bounded(&s, (uint64_t)(q - 1));
+    }
 }
 
 /* --- the word kernel ---------------------------------------------------- */

@@ -4,6 +4,11 @@ Each suite checks one of the package's structural identities over a finite
 range and returns a report record.  The ``fast`` level is sized to finish
 within a minute; ``full`` runs the complete exhaustive ranges used by the
 acceptance tests.
+
+The random words of ``check_first_row_column`` come from
+``words.random_words``: the compiled ``draw_word`` of ``sampling.c`` where
+it can be built, else numpy's generators, with the same letters.  So a
+``verify`` run on the compiled kernel loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from .measures import (
 )
 from .patience import play_greedy
 from .tableaux import YoungDiagram, add_corner, addable_corners, partitions_in_staircase
-from .words import Word, lds, lis, random_word
-from .rng import trial_generators
+from .words import Word, lds, lis, random_words
 
 FAST = "fast"
 FULL = "full"
@@ -73,12 +77,9 @@ def check_first_row_column(level: str = FAST) -> SuiteReport:
     """First row of the insertion shape is LIS, first column is LDS."""
     max_n, max_q = (6, 4) if level == FULL else (5, 3)
     rand_trials, max_len = (10_000, 60) if level == FULL else (300, 25)
-    random_words = (
-        random_word(1 + t % max_len, 1 + t % 10, rng)
-        for t, rng in enumerate(trial_generators(987_654_321, 0, rand_trials))
-    )
+    sizes = [(1 + t % max_len, 1 + t % 10) for t in range(rand_trials)]
     words = 0
-    for w in chain(_words_up_to(max_n, max_q), random_words):
+    for w in chain(_words_up_to(max_n, max_q), random_words(987_654_321, sizes)):
         shape = heckeshape(w)
         first_row = shape.parts[0] if shape.parts else 0
         if first_row != lis(w) or len(shape.parts) != lds(w):
@@ -200,8 +201,7 @@ def check_schensted_agreement(level: str = FAST) -> SuiteReport:
         for line in permutations(range(1, m + 1)):
             w = Word(line, m)
             pair = hecke(w)
-            # its own Word, as the traced bench's recorded Word count assumes
-            if pair.shape != rsk_shape(Word(line, m)):
+            if pair.shape != rsk_shape(w):
                 return SuiteReport("schensted-agreement", False, f"shape differs on {line}")
             if any(len(s) != 1 for row in pair.q.rows for s in row):
                 return SuiteReport("schensted-agreement", False, f"Q not standard on {line}")

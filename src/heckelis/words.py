@@ -9,15 +9,19 @@ the package's boundary.  The samplers never build one: they draw a trial's
 letters as a list of ints with ``draw_letters``, already in range, and hand
 it to the letter-level loops (``patience_lis``, ``demazure_product``, and
 ``insertion.shape_parts``) that the ``Word`` functions also run.
+``random_words`` gives ``verify`` its random words, one ``Word`` per
+trial, drawn by the compiled ``draw_word`` of ``sampling.c``; its Python
+path, ``draw_letters`` over ``trial_generators``, is that kernel's oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import index
 
-from .rng import generator
+from .rng import generator, seed_words, trial_generators
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,36 @@ def draw_letters(rng, n: int, q: int) -> list[int]:
     in one call.  numpy draws the same values in chunks as in one call, so
     a caller may also draw a word's letters a chunk at a time."""
     return rng.integers(1, q + 1, size=n).tolist()
+
+
+def random_words(seed: int, sizes, start: int = 0):
+    """Uniform words of trials ``start, start + 1, ...`` keyed by ``seed``,
+    one ``Word`` at a time: trial ``start + i`` has ``n`` letters over
+    ``{1, ..., q}`` for ``(n, q) = sizes[i]``, drawn as ``draw_letters``
+    draws them from the trial's generator of ``trial_generators``.
+
+    The compiled ``draw_word`` of ``sampling.c`` draws each word into one
+    buffer, so no numpy is loaded.  Where it cannot be built, the
+    generators draw them; they are its test oracle.  The sizes are checked
+    here, before the first letter is drawn."""
+    seed, start = int(seed), int(start)
+    for n, q in sizes:
+        if n < 0 or not 1 <= q <= 2**63 - 1:
+            raise ValueError(f"need n >= 0 and 1 <= q <= 2**63 - 1, got n={n}, q={q}")
+    from .native import load
+
+    library = load("sampling")
+    if library is None:
+        rngs = trial_generators(seed, start, start + len(sizes))
+        return (Word(draw_letters(rng, n, q), q) for rng, (n, q) in zip(rngs, sizes))
+    return _drawn_words(library, seed_words(seed, start, start + len(sizes)), sizes, start)
+
+
+def _drawn_words(library, words, sizes, start: int):
+    letters = (ctypes.c_int64 * max((n for n, _ in sizes), default=0))()
+    for trial, (n, q) in enumerate(sizes, start):
+        library.draw_word(words, trial, n, q, letters)
+        yield Word(letters[:n], q)
 
 
 def random_word(n: int, q: int, seed) -> Word:

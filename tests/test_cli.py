@@ -48,6 +48,40 @@ class TestVerify:
         # range or suite shows here
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAST_DIGEST
 
+    def test_fast_level_without_compiler(self, missing_compiler, capsys):
+        # the random words come from the generators, with the same letters
+        assert run_cli(["verify", "--level", "fast"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAST_DIGEST
+
+    @pytest.mark.parametrize("path", ["compiled_kernel", "missing_compiler"])
+    def test_first_row_column_same_on_both_paths(self, request, path):
+        from heckelis.verification import FAST, SuiteReport, check_first_row_column
+
+        request.getfixturevalue(path)
+        assert check_first_row_column(FAST) == SuiteReport(
+            "lis-lds-encoding", True, "433 exhaustive words, 300 random")
+
+    def test_random_words_are_checked(self, monkeypatch):
+        # a heckeshape that drops the last box of the last row, but only on
+        # words longer than the exhaustive range's (n <= 5 at fast) reach
+        import heckelis.verification as verification
+        from heckelis.tableaux import YoungDiagram
+
+        heckeshape = verification.heckeshape
+
+        def drops_a_box(w):
+            parts = list(heckeshape(w).parts)
+            if len(w) > 5:
+                parts[-1] -= 1
+            return YoungDiagram(tuple(p for p in parts if p))
+
+        monkeypatch.setattr(verification, "heckeshape", drops_a_box)
+        report = verification.check_first_row_column(verification.FAST)
+        assert not report.passed
+        assert report.detail.startswith("failed on ")
+        assert len(report.detail.removeprefix("failed on ").split()) > 5
+
     def test_failing_suite_gives_exit_one(self, capsys, monkeypatch):
         import heckelis.verification as verification
         from heckelis.verification import SuiteReport

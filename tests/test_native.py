@@ -112,7 +112,8 @@ def test_compiled_dealer_needs_no_numpy_random(compiler):
 
 
 def test_compiled_commands_never_load_numpy(compiler, tmp_path):
-    # every command whose trials run compiled, and exact, which draws nothing
+    # every command whose trials run compiled, verify's random words among
+    # them, and exact, which draws nothing
     out = in_fresh_interpreter(
         "import sys\n"
         "from heckelis.cli import main\n"
@@ -125,6 +126,7 @@ def test_compiled_commands_never_load_numpy(compiler, tmp_path):
         "    ['patience', '--ranks', '13', '--copies', '4', '--trials', '2000', '--seed', '3',"
         " '--out', out + '/deck'],\n"
         "    ['exact', '--n', '4', '--q', '3'],\n"
+        "    ['verify', '--level', 'fast'],\n"
         ")]\n"
         "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n", stream="stderr")
-    assert out == "[0, 0, 0, 0] False\n"
+    assert out == "[0, 0, 0, 0, 0] False\n"

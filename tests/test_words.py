@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from heckelis import verification
 from heckelis.rng import trial_generators, trial_stream
 from heckelis.words import (
     Permutation,
     Word,
     _lis_lengths,
     coxeter_length,
+    draw_letters,
     hecke_product,
     lds,
     lis,
     longest_element,
     patience_lis,
     random_word,
+    random_words,
 )
 
 from conftest import words
@@ -139,6 +142,60 @@ class TestRandomWord:
         sigma = (total * p * (1 - p)) ** 0.5
         for letter in range(1, q + 1):
             assert abs(counts[letter] - total * p) <= 3 * sigma
+
+
+def oracle_words(seed, sizes, start=0):
+    """The words of ``random_words`` by ``draw_letters`` over ``trial_generators``."""
+    rngs = trial_generators(seed, start, start + len(sizes))
+    return [Word(draw_letters(rng, n, q), q) for rng, (n, q) in zip(rngs, sizes)]
+
+
+@pytest.fixture(params=["compiled_kernel", "missing_compiler"])
+def drawer(request):
+    """Each way ``random_words`` can draw: the compiled ``draw_word`` or,
+    with no compiler, the generators."""
+    request.getfixturevalue(request.param)
+    return request.param
+
+
+class TestCompiledWords:
+    """The compiled ``draw_word`` against its oracle, ``draw_letters`` over
+    ``trial_generators``, trial by trial: the same letters drawn."""
+
+    @pytest.mark.parametrize("level", [verification.FAST, verification.FULL])
+    def test_every_verify_word(self, compiled_kernel, monkeypatch, level):
+        calls = []
+
+        def recorded(seed, sizes, start=0):
+            calls.append((seed, sizes, start))
+            return iter(())
+
+        monkeypatch.setattr(verification, "random_words", recorded)
+        verification.check_first_row_column(level)
+        ((seed, sizes, start),) = calls
+        assert len(sizes) == (300 if level == verification.FAST else 10_000)
+        assert list(random_words(seed, sizes, start)) == oracle_words(seed, sizes, start)
+
+    # 32-bit draws below 2**32 - 1, the plain word at q = 2**32, then 64-bit draws
+    @pytest.mark.parametrize("q", [1, 3, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**63 - 1])
+    def test_edge_alphabets(self, compiled_kernel, q):
+        sizes = [(0, q), (40, q), (1, q), (0, q), (25, q)] * 40
+        assert list(random_words(5, sizes)) == oracle_words(5, sizes)
+
+    @pytest.mark.parametrize("start, trials", [(2**32 - 2, 3), (2**64 - 2, 2)],
+                             ids=["high-word", "last-trials"])
+    def test_trials_past_32_bits(self, compiled_kernel, start, trials):
+        sizes = [(30, 4), (30, 2**40), (30, 4)][:trials]
+        assert list(random_words(9, sizes, start)) == oracle_words(9, sizes, start)
+
+    @pytest.mark.parametrize("n, q", [(-1, 3), (3, 0), (3, 2**63)])
+    def test_bad_size_raises_before_drawing(self, drawer, n, q):
+        with pytest.raises(ValueError, match="need n >= 0 and 1 <= q <= 2[*][*]63 - 1"):
+            random_words(1, [(2, 2), (n, q)])
+
+    def test_trials_past_64_bits_raise(self, drawer):
+        with pytest.raises(ValueError, match="start <= stop <= 2[*][*]64"):
+            random_words(1, [(2, 2)] * 3, 2**64 - 2)
 
 
 def _rewrites(letters, q):
