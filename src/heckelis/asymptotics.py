@@ -29,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -73,7 +74,6 @@ class SweepResult:
     kernel: str = field(compare=False)  # "compiled" or "python": which kernels ran
 
 
-_BLOCK = 64  # trials per scheduling unit
 _MAX_Q = 2**63 - 1  # letters are drawn as numpy int64
 _MAX_DRAWS = 2**63 - 1  # every kernel counts a trial's letters in an int64
 _WORD_CHUNK = 1024  # trials per call of the compiled word kernel, so its output stays small
@@ -109,8 +109,14 @@ def _compiled():
 
 
 def sampling_kernel() -> str:
-    """The kernels the samplers run in this process: ``"compiled"`` or ``"python"``."""
-    return "python" if _compiled() is None else "compiled"
+    """The kernels the samplers run in this process: ``"compiled"`` or
+    ``"python"``, loaded, numpy included where they are Python, so that a
+    block timed after this call pays for its trials alone."""
+    if _compiled() is not None:
+        return "compiled"
+    import numpy.random  # noqa: F401  the Python kernels' generators
+
+    return "python"
 
 
 def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
@@ -251,36 +257,100 @@ def _sweep_block(args) -> tuple[tuple[int, ...], list[int], str]:
     return (lis, lis2, lds, lds2, hits), col_sums, sampling_kernel()
 
 
+# What a pool adds to a command's wall time, per worker it starts.  On a
+# 2-vCPU Xeon (Python 3.11, Linux, fork start), a process that had imported
+# the CLI took a median 25, 27 and 36 ms to import the pool and start, feed
+# and stop a pool of one, two and four workers (15 fresh processes each; a
+# second pool in the same process took 6, 9 and 16 ms).  End to end,
+# `curve --n 10000 --q 8 --trials 300` took a median 0.220 s on a pool of
+# two forced by setting this to 0, against 0.178 s serially (9 alternating
+# runs), and the pool saved at most 3 ms of the 6 ms of trials it took
+# over: about 45 ms for two workers, so 0.02 s per worker.
+_WORKER_COST_S = 0.02
+
+
+class Scheduler:
+    """Runs the blocks of trials of one command, each a ``_sweep_block``
+    task: serially in this process, or on one process pool, which it starts
+    only where the pool saves more time than its workers cost.
+
+    ``threads`` bounds the workers, and ``trials`` counts the command's
+    trials over all its rows.  Where ``cap = min(threads, CPUs)`` allows
+    more than one worker, this process runs and times the command's first
+    block, ``1 / (cap + 1)`` of its trials, and projects the other trials at
+    its rate.  A pool of ``workers = min(cap, trials left)`` saves
+    ``1 - 1/workers`` of that projection and costs ``_WORKER_COST_S`` per
+    worker; if it pays, it starts and runs every later block, each row split
+    into one block per worker, and otherwise the rest runs here, a block per
+    row.  ``workers`` and ``blocks`` say how the command ran.  Results do
+    not depend on any of this, since every merge is an integer sum.  Use it
+    as a context manager, which stops the pool.
+    """
+
+    def __init__(self, threads: int, trials: int):
+        self.workers = 1  # the processes that run blocks: this one, or the pool's
+        self.blocks = 0  # blocks run so far
+        self._cap = min(threads, os.cpu_count() or 1)
+        self._trials = trials
+        self._timed = self._cap == 1  # a single worker needs no first block timed
+        self._pool = None
+
+    def __enter__(self) -> Scheduler:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+    def run(self, n: int, q: int, seed: int, trials: int, profile: bool) -> list:
+        """The ``_sweep_block`` results of one row's trials ``0 .. trials-1``."""
+        results, start = [], 0
+        if not self._timed:
+            self._timed = True
+            start = min(trials, -(-self._trials // (self._cap + 1)))
+            sampling_kernel()  # loaded before the clock starts
+            began = time.perf_counter()
+            results.append(_sweep_block((n, q, seed, 0, start, profile)))
+            rest = (time.perf_counter() - began) * (self._trials - start) / start
+            self.blocks += 1
+            workers = min(self._cap, self._trials - start)
+            if workers > 1 and rest * (1 - 1 / workers) > workers * _WORKER_COST_S:
+                # imported here so that a serial run never loads the pool machinery
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self.workers = workers
+        if start < trials:
+            parts = min(trials - start, self.workers)
+            bounds = [start + (trials - start) * i // parts for i in range(parts + 1)]
+            blocks = [(n, q, seed, lo, hi, profile) for lo, hi in zip(bounds, bounds[1:])]
+            run = map if self._pool is None else self._pool.map
+            results.extend(run(_sweep_block, blocks))
+            self.blocks += parts
+        return results
+
+
 def sweep_at(
     n: int,
     q: int,
     trials: int,
     seed: int,
-    threads: int = 1,
     profile: bool = False,
+    scheduler: Scheduler | None = None,
 ) -> SweepResult:
     """Insertion-shape statistics of ``trials`` words at an explicit alphabet size.
 
     ``profile=True`` runs the shape kernel and also gives the mean column
     profile; the default word kernel gives the same statistics without
     insertion.  The result's ``kernel`` says whether they ran compiled or
-    in Python.  ``threads`` only controls scheduling; the result is
-    bit-identical for any value because every trial stream is derived from
-    ``(seed, trial)`` and the merged quantities are integer sums.  The pool
-    never gets more workers than there are blocks or CPUs.
+    in Python.  The trials run on ``scheduler``, serially in this process
+    if none is given; the result is bit-identical however they are
+    scheduled, because every trial stream is derived from ``(seed, trial)``
+    and the merged quantities are integer sums.
     """
     _check_sizes(n, trials, q)
-    blocks = [(n, q, seed, s, min(s + _BLOCK, trials), profile)
-              for s in range(0, trials, _BLOCK)]
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that a serial run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_block, blocks))
-    else:
-        results = [_sweep_block(b) for b in blocks]
+    results = (scheduler or Scheduler(1, trials)).run(n, q, seed, trials, profile)
 
     lis, lis2, lds, lds2, hits = map(sum, zip(*(sums for sums, _, _ in results)))
     col_sums: list[int] = []

@@ -13,7 +13,10 @@ Subcommands:
 
 Every output artifact is accompanied by a ``<name>.manifest.json`` recording
 the subcommand, full parameter set, base seed, code version, and the
-kernel or dealer that ran (``compiled`` or the Python fallback); rerunning
+kernel or dealer that ran (``compiled`` or the Python fallback); ``sweep``
+and ``curve`` also record the worker processes that ran their trials
+(``workers``, 1 when serial: ``--threads`` is only their upper bound) and
+the blocks of trials they ran in (``blocks``); rerunning
 with the same manifest parameters reproduces the data files byte for byte
 (floats are printed with six fixed decimals, and all Monte Carlo
 accumulation is integer counts merged commutatively).  A command that fails
@@ -36,6 +39,7 @@ from . import __version__
 from .asymptotics import (
     SQRT_REGIME,
     STAIRCASE_REGIME,
+    Scheduler,
     _check_sizes,
     grid_q,
     line_curve,
@@ -193,17 +197,19 @@ def cmd_sweep(args) -> int:
         "snapshots": args.snapshots,
     }
     rows, kernels = [], set()
-    for label, q in grid:
-        res = sweep_at(args.n, q, args.trials, args.seed, threads=args.threads)
-        kernels.add(res.kernel)
-        rows.append([args.n, q, label, args.trials,
-                     _fmt(res.mean_lis), _fmt(res.mean_lds),
-                     _fmt(res.sigma_lis), _fmt(res.sigma_lds),
-                     _fmt(res.staircase_fraction)])
+    # one scheduler, so every row runs on the one pool, if the command starts one
+    with Scheduler(args.threads, len(grid) * args.trials) as scheduler:
+        for label, q in grid:
+            res = sweep_at(args.n, q, args.trials, args.seed, scheduler=scheduler)
+            kernels.add(res.kernel)
+            rows.append([args.n, q, label, args.trials,
+                         _fmt(res.mean_lis), _fmt(res.mean_lds),
+                         _fmt(res.sigma_lis), _fmt(res.sigma_lds),
+                         _fmt(res.staircase_fraction)])
     header = ["n", "q", "alpha_or_k", "trials", "mean_lis", "mean_lds",
               "sigma_lis", "sigma_lds", "staircase_fraction"]
     _publish(args.out, "sweep", params, args.seed, [(args.out, _csv(params, args.seed, header, rows))],
-             kernel="+".join(sorted(kernels)))
+             kernel="+".join(sorted(kernels)), workers=scheduler.workers, blocks=scheduler.blocks)
     print(f"wrote {args.out}")
     return 0
 
@@ -214,7 +220,8 @@ def cmd_curve(args) -> int:
     # bad sizes, then a zero scale, fail before sampling
     _check_sizes(args.n, args.trials, args.q)
     profile_function((), args.n, args.q, regime)
-    res = sweep_at(args.n, args.q, args.trials, args.seed, threads=args.threads, profile=True)
+    with Scheduler(args.threads, args.trials) as scheduler:
+        res = sweep_at(args.n, args.q, args.trials, args.seed, profile=True, scheduler=scheduler)
     fhat = profile_function(res.mean_profile, args.n, args.q, regime)
     params = {"n": args.n, "q": args.q, "trials": args.trials, "regime": regime}
     grid_hi = max(fhat.max_support, 1.0)
@@ -228,7 +235,7 @@ def cmd_curve(args) -> int:
                        "sup_distance_line": _fmt(dist_line)}
     _publish(args.out, "curve", manifest_params, args.seed, [
         (args.out, _csv(params, args.seed, ["x", "f_hat", "plancherel_curve", "line"], rows)),
-    ], kernel=res.kernel)
+    ], kernel=res.kernel, workers=scheduler.workers, blocks=scheduler.blocks)
     print(f"wrote {args.out}")
     print(f"sup-norm distance to plancherel curve: {_fmt(dist_curve)}")
     print(f"sup-norm distance to staircase line:   {_fmt(dist_line)}")
@@ -248,6 +255,10 @@ def cmd_patience(args) -> int:
     print(f"wrote {hist_path} and {sizes_path}")
     print(f"mean pile count: {stats.mean_piles:.4f}")
     return 0
+
+
+THREADS_HELP = ("the most worker processes to run trials on; the run stays serial where its "
+                "timed first block shows that a pool would cost more time than it saves")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=float, nargs="*", default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=_at_least(0), default=_default_seed())
-    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1, help=THREADS_HELP)
     # recorded in the header and the manifest only; sweep writes no shapes
     p.add_argument("--snapshots", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=_at_least(0), default=_default_seed())
-    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1, help=THREADS_HELP)
     p.add_argument("--grid-points", type=_at_least(1), default=400)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)

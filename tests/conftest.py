@@ -1,5 +1,8 @@
+import json
+import os
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import heckelis
 from heckelis import asymptotics, native, patience
 from heckelis.tableaux import YoungDiagram
 from heckelis.words import Word
@@ -18,6 +22,23 @@ def c_compiler() -> str | None:
     """The C compiler the kernels are built with, if it is on PATH."""
     command = sysconfig.get_config_var("CC")
     return command if command and shutil.which(shlex.split(command)[0]) else None
+
+
+def child_after_import(script: str, env: dict[str, str]):
+    """Run ``script`` in a fresh interpreter after ``import heckelis.cli``
+    and return the JSON it prints; the child imports the same heckelis as
+    this process, installed or from src."""
+    package_root = Path(heckelis.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    env["PYTHONPATH"] = str(package_root)
+    out = subprocess.run(
+        [sys.executable, "-c", "import heckelis.cli, json, os, sys; " + script],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, f"child exited {out.returncode}; stderr:\n{out.stderr}"
+    return json.loads(out.stdout)
 
 
 @pytest.fixture
@@ -52,6 +73,29 @@ def python_kernel(monkeypatch):
     """The test runs the Python sampling kernels: the loader is forced to None."""
     monkeypatch.setattr(asymptotics, "_compiled", lambda: None)
     return "python"
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Every pool a scheduler starts is a fake that runs its blocks in this
+    process; the value lists each pool's workers as it starts."""
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    # the scheduler imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return started
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import heckelis.asymptotics as asymptotics
 from heckelis.asymptotics import (
     SQRT_REGIME,
     STAIRCASE_REGIME,
+    Scheduler,
     ShapeFunction,
     beta,
     erdos_szekeres_bound,
@@ -39,7 +40,7 @@ from heckelis.words import (
     random_word,
 )
 
-from conftest import words
+from conftest import child_after_import, words
 from oracles import scalar_plancherel_curve
 
 
@@ -226,52 +227,73 @@ class TestSweep:
         sigma = res.sigma_lis / math.sqrt(4000)
         assert abs(res.mean_lis - exact) <= 3 * max(sigma, 1e-9)
 
-    def test_deterministic_and_thread_independent(self):
-        q = grid_q(60, k=1.0)
-        serial = sweep_at(60, q, 130, 12, threads=1)
-        parallel = sweep_at(60, q, 130, 12, threads=2)
-        assert serial == parallel
-        profiled = sweep_at(60, q, 130, 12, threads=2, profile=True)
-        assert profiled == sweep_at(60, q, 130, 12, threads=1, profile=True)
-        assert profiled.mean_profile and not serial.mean_profile
-
     def test_trial_shapes_limited_and_ordered(self):
         shapes = list(trial_shapes(30, 5, 2, 4))
         assert len(shapes) == 4
         assert shapes[2] == heckeshape(random_word(30, 5, trial_stream(2, 2)))
         assert list(trial_shapes(30, 5, 2, 4, start=2)) == shapes[2:]
 
+
+    # the scheduler: serial unless its timed first block says a pool pays,
+    # and then one pool of min(threads, trials left, CPUs) workers
+    def test_tiny_work_stays_serial(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 8)
+        with Scheduler(8, 130) as scheduler:
+            res = sweep_at(3, 2, 130, 1, scheduler=scheduler)
+        assert fake_pool == [] and (scheduler.workers, scheduler.blocks) == (1, 2)
+        assert res == sweep_at(3, 2, 130, 1)
+
+    def test_tiny_work_never_imports_the_pool(self):
+        seen = child_after_import(
+            "from heckelis.asymptotics import Scheduler, sweep_at; "
+            "s = Scheduler(8, 130); sweep_at(30, 4, 130, 1, scheduler=s); "
+            "print(json.dumps({'workers': s.workers, "
+            "'pool': sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules))}))",
+            {})
+        assert seen == {"workers": 1, "pool": []}
+
     @pytest.mark.parametrize(
         "threads, cpus, workers",
         [(8, 2, 2), (64, 16, 3), (2, 16, 2), (1, 16, None), (8, 1, None)],
     )
-    def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, threads, cpus, workers):
-        # no real pool is started: the fake records max_workers and maps serially
-        import concurrent.futures
-
-        import heckelis.asymptotics as asymptotics
-
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # sweep_at imports the pool from concurrent.futures when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, fake_pool, threads, cpus, workers):
+        # with workers made free a pool always pays; of the 4 trials the
+        # first block takes ceil(4 / (min(threads, cpus) + 1)), and the pool
+        # gets one worker, and one block, per trial left, at most
+        monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
         monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: cpus)
-        res = sweep_at(3, 2, 130, 1, threads=threads)  # three blocks of <= 64 trials
-        assert started == ([] if workers is None else [workers])
-        assert res == sweep_at(3, 2, 130, 1)
+        with Scheduler(threads, 4) as scheduler:
+            res = sweep_at(3, 2, 4, 1, scheduler=scheduler)
+        assert fake_pool == ([] if workers is None else [workers])
+        assert (scheduler.workers, scheduler.blocks) == (workers or 1, 1 + (workers or 0))
+        assert res == sweep_at(3, 2, 4, 1)
+
+    def test_deterministic_and_thread_independent(self, monkeypatch):
+        assert_pool_matches_serial(monkeypatch, "compiled" if asymptotics._compiled() else "python")
+
+    @pytest.mark.parametrize("fallback", ["python_kernel", "missing_compiler"])
+    def test_deterministic_and_thread_independent_on_the_python_kernels(self, monkeypatch, fallback,
+                                                                         request):
+        request.getfixturevalue(fallback)
+        assert_pool_matches_serial(monkeypatch, "python")
+
+
+def assert_pool_matches_serial(monkeypatch, kernel):
+    """Two rows, each profiled and not, give the same results at --threads 1
+    and on a real pool of two workers, forced by making workers free."""
+    monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
+    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 2)
+    q = grid_q(60, k=1.0)
+    rows = [(seed, profile) for seed in (12, 13) for profile in (False, True)]
+    results = {}
+    for threads in (1, 2):
+        with Scheduler(threads, len(rows) * 130) as scheduler:
+            results[threads] = [sweep_at(60, q, 130, seed, profile=profile, scheduler=scheduler)
+                                for seed, profile in rows]
+        assert scheduler.workers == threads
+    assert results[1] == results[2]
+    assert {res.kernel for res in results[2]} == {kernel}
+    assert [bool(res.mean_profile) for res in results[2]] == [profile for _, profile in rows]
 
 
 def _oracle_statistics(w: Word):

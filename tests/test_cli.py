@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import heckelis
-from heckelis import cli, measures
+from heckelis import asymptotics, cli, measures
 from heckelis.cli import main
 from heckelis.measures import exact_plancherel_hecke
 from heckelis.tableaux import YoungDiagram
+
+from conftest import child_after_import
 
 
 def run_cli(args):
@@ -266,6 +268,23 @@ class TestSweep:
         request.getfixturevalue(fallback)
         run_pinned_sweep(tmp_path, threads)
 
+    def test_bytes_pinned_on_a_real_pool(self, monkeypatch, tmp_path, capsys):
+        # small rows run serially at any --threads, so the pool is forced
+        monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_pinned_sweep(tmp_path, 2)
+        assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["workers"] == 2
+
+    def test_rows_share_one_pool(self, monkeypatch, fake_pool, tmp_path, capsys):
+        # with workers made free the first row runs here, timed, and the
+        # other seven rows go to one pool, two blocks each
+        monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_pinned_sweep(tmp_path, 2)
+        assert fake_pool == [2]
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert (manifest["workers"], manifest["blocks"]) == (2, 1 + 7 * 2)
+
     def test_words_past_int64_are_a_usage_error(self, kernel, tmp_path, capsys):
         # the word kernel would draw every one of the 10**20 letters
         assert run_cli(["sweep", "--n", 10**20, "--alpha-grid", "0.1", "--trials", 1,
@@ -357,6 +376,14 @@ class TestCurve:
         request.getfixturevalue(fallback)
         run_pinned_curve(tmp_path, capsys, args, digest, distances)
 
+    def test_benchmark_command_stays_serial(self, compiled_kernel, monkeypatch, tmp_path, capsys):
+        # its 300 staircase-regime trials take milliseconds, less than a
+        # worker costs to start, so the timed first block leads to no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_pinned_curve(tmp_path, capsys, *CURVE_DIGESTS[-1])
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert (manifest["workers"], manifest["blocks"]) == (1, 2)
+
     def test_staircase_regime_selected_for_small_alphabet(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert run_cli(
@@ -384,6 +411,9 @@ def test_manifest_names_the_kernel(args, params, kernel, tmp_path, capsys):
     assert run_cli([*args, "--seed", 6, "--out", out]) == 0
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["kernel"] == kernel
+    # tiny runs, so sweep and curve run serially
+    assert manifest.get("workers") == (None if args[0] == "sample" else 1)
+    assert ("blocks" in manifest) == (args[0] != "sample")
     # outside params, so the CSV parameter line is the same for every kernel
     assert {k: v for k, v in manifest["params"].items() if not k.startswith("sup_")} == params
     assert out.read_text().splitlines()[0] == "# " + " ".join(
@@ -613,23 +643,6 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"{option}: must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-
-def child_after_import(script: str, env: dict[str, str]):
-    """Run ``script`` in a fresh interpreter after ``import heckelis.cli``
-    and return the JSON it prints; the child imports the same heckelis as
-    this process, installed or from src."""
-    package_root = Path(heckelis.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
-    env["PYTHONPATH"] = str(package_root)
-    out = subprocess.run(
-        [sys.executable, "-c", "import heckelis.cli, json, os, sys; " + script],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, f"child exited {out.returncode}; stderr:\n{out.stderr}"
-    return json.loads(out.stdout)
 
 
 class TestProcessStartup:

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from heckelis.asymptotics import sweep_at, trial_shapes
+from heckelis.asymptotics import Scheduler, sweep_at, trial_shapes
 from heckelis.insertion import heckeshape, rsk_shape
 from heckelis.measures import (
     exact_plancherel_hecke,
@@ -172,26 +172,31 @@ class TestSampling:
 
     @pytest.mark.slow
     def test_recorded_statistics_match_word_oracles(self, monkeypatch):
-        # 240 (n, q) pairs of 42 trials each, about 10^4 words in all; blocks
-        # of 16 trials make threads=2 start a real pool of two workers
+        # 240 (n, q) pairs of 42 trials each, about 10^4 words in all; with
+        # workers made free, one scheduler runs them all on one real pool of
+        # two workers, each pair split into two blocks
         import heckelis.asymptotics as asymptotics
 
-        monkeypatch.setattr(asymptotics, "_BLOCK", 16)
+        monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
+        monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 2)
         trials = 42
-        for n in range(1, 31):
-            for q in range(1, 9):
-                lis_sum = lds_sum = 0
-                for t, shape in enumerate(trial_shapes(n, q, 57, trials)):
-                    w = random_word(n, q, trial_stream(57, t))
-                    assert (shape.parts[0], len(shape.parts)) == (lis(w), lds(w))
-                    lis_sum += shape.parts[0]
-                    lds_sum += len(shape.parts)
-                by_word = sweep_at(n, q, trials, 57)
-                assert (by_word.mean_lis, by_word.mean_lds) == (lis_sum / trials, lds_sum / trials)
-                assert sweep_at(n, q, trials, 57, threads=2) == by_word
-                for threads in (1, 2):
-                    by_shape = sweep_at(n, q, trials, 57, threads=threads, profile=True)
-                    assert replace(by_shape, mean_profile=()) == by_word
+        with Scheduler(2, 240 * 2 * trials) as pooled:
+            for n in range(1, 31):
+                for q in range(1, 9):
+                    lis_sum = lds_sum = 0
+                    for t, shape in enumerate(trial_shapes(n, q, 57, trials)):
+                        w = random_word(n, q, trial_stream(57, t))
+                        assert (shape.parts[0], len(shape.parts)) == (lis(w), lds(w))
+                        lis_sum += shape.parts[0]
+                        lds_sum += len(shape.parts)
+                    by_word = sweep_at(n, q, trials, 57)
+                    assert (by_word.mean_lis, by_word.mean_lds) == (lis_sum / trials,
+                                                                    lds_sum / trials)
+                    assert sweep_at(n, q, trials, 57, scheduler=pooled) == by_word
+                    for scheduler in (None, pooled):
+                        by_shape = sweep_at(n, q, trials, 57, profile=True, scheduler=scheduler)
+                        assert replace(by_shape, mean_profile=()) == by_word
+        assert pooled.workers == 2
 
 
 class TestRskMeasure:
