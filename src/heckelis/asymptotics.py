@@ -109,14 +109,8 @@ def _compiled():
 
 
 def sampling_kernel() -> str:
-    """The kernels the samplers run in this process: ``"compiled"`` or
-    ``"python"``, loaded, numpy included where they are Python, so that a
-    block timed after this call pays for its trials alone."""
-    if _compiled() is not None:
-        return "compiled"
-    import numpy.random  # noqa: F401  the Python kernels' generators
-
-    return "python"
+    """The kernels the samplers run in this process: ``"compiled"`` or ``"python"``."""
+    return "python" if _compiled() is None else "compiled"
 
 
 def trial_words(n: int, q: int, seed: int, stop: int, start: int = 0):
@@ -262,37 +256,53 @@ def _sweep_block(args) -> tuple[tuple[int, ...], list[int], str]:
 # the CLI took a median 25, 27 and 36 ms to import the pool and start, feed
 # and stop a pool of one, two and four workers (15 fresh processes each; a
 # second pool in the same process took 6, 9 and 16 ms).  End to end,
-# `curve --n 10000 --q 8 --trials 300` took a median 0.220 s on a pool of
-# two forced by setting this to 0, against 0.178 s serially (9 alternating
-# runs), and the pool saved at most 3 ms of the 6 ms of trials it took
-# over: about 45 ms for two workers, so 0.02 s per worker.
+# `curve --n 10000 --q 8 --trials 300` took a median 0.220 s on a forced
+# pool of two against 0.178 s serially (9 alternating runs), while the pool
+# saved at most 3 ms of the trials: about 45 ms for two workers, so 0.02 s
+# per worker.
 _WORKER_COST_S = 0.02
+
+# What a block of trials run by a pool's worker costs beyond its trials: on
+# that Xeon a pool of one worker ran 2000 one-trial blocks at 214 us each,
+# against 47 us each for the same blocks run in process.
+_BLOCK_COST_S = 0.0002
 
 
 class Scheduler:
     """Runs the blocks of trials of one command, each a ``_sweep_block``
-    task: serially in this process, or on one process pool, which it starts
-    only where the pool saves more time than its workers cost.
+    task: in this process, helped by one process pool where the pool saves
+    more time than its workers cost.
 
-    ``threads`` bounds the workers, and ``trials`` counts the command's
-    trials over all its rows.  Where ``cap = min(threads, CPUs)`` allows
-    more than one worker, this process runs and times the command's first
-    block, ``1 / (cap + 1)`` of its trials, and projects the other trials at
-    its rate.  A pool of ``workers = min(cap, trials left)`` saves
-    ``1 - 1/workers`` of that projection and costs ``_WORKER_COST_S`` per
-    worker; if it pays, it starts and runs every later block, each row split
-    into one block per worker, and otherwise the rest runs here, a block per
-    row.  ``workers`` and ``blocks`` say how the command ran.  Results do
-    not depend on any of this, since every merge is an integer sum.  Use it
-    as a context manager, which stops the pool.
+    ``threads`` bounds the processes that run blocks, this one included,
+    and ``trials`` counts the command's trials over all its rows.  Where
+    ``cap = min(threads, CPUs)`` is above 1, this process runs the first
+    trials in blocks of 1, 2, 4, ... trials and times each block but the
+    first, whose trial loads the kernels, until the timed blocks have taken
+    ``_WORKER_COST_S`` or the trials run out.  At their rate the trials
+    left take ``rest`` seconds, so ``p`` processes take about ``rest / p +
+    (p - 1) * _WORKER_COST_S``; it takes the ``p <= min(cap, trials left)``
+    that makes this least, and starts a pool of ``p - 1`` workers if
+    ``p > 1``.  The pool then takes a row's blocks from the front and this
+    process takes them from the back, until they meet.  Each block adds
+    ``_BLOCK_COST_S`` of work, and the processes end a row about half a
+    block apart, so a row whose trials left take ``r`` seconds at the rate
+    of the last block timed here is cut into blocks of about
+    ``sqrt(2 * r * _BLOCK_COST_S / p)`` seconds, which makes the sum of the
+    two least.  Without a pool the rest of each row is one block.
+    ``workers`` and ``blocks`` say how the command ran.  Results do not
+    depend on any of this, since every merge is an integer sum.  Use it as a
+    context manager, which stops the pool.
     """
 
     def __init__(self, threads: int, trials: int):
-        self.workers = 1  # the processes that run blocks: this one, or the pool's
+        self.workers = 1  # the processes that run blocks: this one and the pool's
         self.blocks = 0  # blocks run so far
         self._cap = min(threads, os.cpu_count() or 1)
-        self._trials = trials
-        self._timed = self._cap == 1  # a single worker needs no first block timed
+        self._left = trials  # the command's trials in the rows not yet run
+        self._probe = 1 if self._cap > 1 else 0  # the next timing block's trials; 0 once done
+        self._timed = 0  # trials in the timing blocks but the first
+        self._elapsed = 0.0  # and the seconds they took
+        self._rate = 0.0  # seconds per trial of the last block timed here
         self._pool = None
 
     def __enter__(self) -> Scheduler:
@@ -303,32 +313,65 @@ class Scheduler:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
+    def _here(self, block: tuple) -> tuple:
+        """``_sweep_block(block)``, run in this process, and timed unless it
+        is the command's first block."""
+        began = time.perf_counter()
+        result = _sweep_block(block)
+        if self.blocks:
+            self._rate = (time.perf_counter() - began) / (block[4] - block[3])
+        self.blocks += 1
+        return result
+
+    def _decide(self, left: int) -> None:
+        """Stop timing, and start the pool if it pays for the ``left`` trials."""
+        self._probe = 0
+        rest = self._elapsed * left / self._timed
+        most = max(1, min(self._cap, left))
+        processes = min(range(1, most + 1), key=lambda p: rest / p + (p - 1) * _WORKER_COST_S)
+        if processes > 1:
+            # imported here so that a serial run never loads the pool machinery
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=processes - 1)
+            self.workers = processes
+
     def run(self, n: int, q: int, seed: int, trials: int, profile: bool) -> list:
         """The ``_sweep_block`` results of one row's trials ``0 .. trials-1``."""
         results, start = [], 0
-        if not self._timed:
-            self._timed = True
-            start = min(trials, -(-self._trials // (self._cap + 1)))
-            sampling_kernel()  # loaded before the clock starts
-            began = time.perf_counter()
-            results.append(_sweep_block((n, q, seed, 0, start, profile)))
-            rest = (time.perf_counter() - began) * (self._trials - start) / start
-            self.blocks += 1
-            workers = min(self._cap, self._trials - start)
-            if workers > 1 and rest * (1 - 1 / workers) > workers * _WORKER_COST_S:
-                # imported here so that a serial run never loads the pool machinery
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=workers)
-                self.workers = workers
-        if start < trials:
-            parts = min(trials - start, self.workers)
-            bounds = [start + (trials - start) * i // parts for i in range(parts + 1)]
-            blocks = [(n, q, seed, lo, hi, profile) for lo, hi in zip(bounds, bounds[1:])]
-            run = map if self._pool is None else self._pool.map
-            results.extend(run(_sweep_block, blocks))
-            self.blocks += parts
-        return results
+        while self._probe and start < trials:
+            stop = min(trials, start + self._probe)
+            results.append(self._here((n, q, seed, start, stop, profile)))
+            if self.blocks > 1:
+                self._timed += stop - start
+                self._elapsed += self._rate * (stop - start)
+            self._probe *= 2
+            start = stop
+            if self._timed and self._elapsed >= _WORKER_COST_S:
+                self._decide(max(0, self._left - stop))
+        self._left -= trials
+        if start == trials:
+            return results
+        if self._pool is None:
+            return [*results, self._here((n, q, seed, start, trials, profile))]
+        left = trials - start
+        if self._rate:  # trials per block, as the docstring derives them
+            size = math.sqrt(2 * left * _BLOCK_COST_S / (self.workers * self._rate))
+        else:
+            size = left
+        parts = min(left, max(self.workers, math.ceil(left / size)))
+        bounds = [start + left * i // parts for i in range(parts + 1)]
+        blocks = [(n, q, seed, lo, hi, profile) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [self._pool.submit(_sweep_block, block) for block in blocks]
+        here = {}
+        # this process takes blocks from the back until it meets one that a
+        # worker has taken; then the workers have taken every block before it
+        for i in reversed(range(parts)):
+            if not futures[i].cancel():
+                break
+            here[i] = self._here(blocks[i])
+        self.blocks += parts - len(here)
+        return results + [here[i] if i in here else futures[i].result() for i in range(parts)]
 
 
 def sweep_at(

@@ -14,8 +14,8 @@ Subcommands:
 Every output artifact is accompanied by a ``<name>.manifest.json`` recording
 the subcommand, full parameter set, base seed, code version, and the
 kernel or dealer that ran (``compiled`` or the Python fallback); ``sweep``
-and ``curve`` also record the worker processes that ran their trials
-(``workers``, 1 when serial: ``--threads`` is only their upper bound) and
+and ``curve`` also record the processes that ran their trials, this one
+included (``workers``, 1 when serial: ``--threads`` is only their upper bound) and
 the blocks of trials they ran in (``blocks``); rerunning
 with the same manifest parameters reproduces the data files byte for byte
 (floats are printed with six fixed decimals, and all Monte Carlo
@@ -257,8 +257,8 @@ def cmd_patience(args) -> int:
     return 0
 
 
-THREADS_HELP = ("the most worker processes to run trials on; the run stays serial where its "
-                "timed first block shows that a pool would cost more time than it saves")
+THREADS_HELP = ("the most processes to run trials on, this one included; the run stays serial "
+                "where its first timed blocks show that a pool would cost more time than it saves")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,8 +77,9 @@ def python_kernel(monkeypatch):
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Every pool a scheduler starts is a fake that runs its blocks in this
-    process; the value lists each pool's workers as it starts."""
+    """Every pool a scheduler starts is a fake that runs each block in this
+    process as it is submitted, so that the scheduler finds every block
+    taken; the value lists each pool's workers as it starts."""
     import concurrent.futures
 
     started = []
@@ -87,8 +88,10 @@ def fake_pool(monkeypatch):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            future = concurrent.futures.Future()
+            future.set_result(fn(item))
+            return future
 
         def shutdown(self, cancel_futures=False):
             pass

@@ -5,12 +5,15 @@ Each test prints a single [ACCEPTANCE] line (visible with ``pytest -s`` or
 statistical checks use fixed seeds, so the suite is deterministic.
 """
 
+import json
 import math
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import heckelis.asymptotics as asymptotics
 from heckelis.asymptotics import (
     erdos_szekeres_bound,
     grid_q,
@@ -371,8 +374,12 @@ def test_criterion_12_conjecture_probes(tmp_path, capsys):
     )
 
 
-def test_criterion_13_thread_determinism(tmp_path):
-    outputs = []
+def test_criterion_13_thread_determinism(monkeypatch, tmp_path):
+    # runs this small stay serial at any --threads, so workers are made
+    # free and four CPUs are assumed: --threads 2 and 4 then run real pools
+    monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
+    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 4)
+    outputs, workers = [], []
     for threads in (1, 2, 4):
         out = tmp_path / f"sweep_{threads}.csv"
         code = cli_main(
@@ -382,8 +389,9 @@ def test_criterion_13_thread_determinism(tmp_path):
         )
         assert code == 0
         outputs.append(out.read_bytes())
+        workers.append(json.loads(Path(f"{out}.manifest.json").read_text())["workers"])
     report(
         "criterion 13: thread-count determinism",
-        outputs[0] == outputs[1] == outputs[2],
-        "byte-identical sweep CSVs for 1, 2, and 4 workers",
+        outputs[0] == outputs[1] == outputs[2] and workers == [1, 2, 4],
+        f"byte-identical sweep CSVs for {', '.join(map(str, workers))} workers",
     )

@@ -234,13 +234,15 @@ class TestSweep:
         assert list(trial_shapes(30, 5, 2, 4, start=2)) == shapes[2:]
 
 
-    # the scheduler: serial unless its timed first block says a pool pays,
-    # and then one pool of min(threads, trials left, CPUs) workers
+    # the scheduler: serial unless its timing blocks say a pool pays, and
+    # then this process and a pool, min(threads, trials left, CPUs) in all
     def test_tiny_work_stays_serial(self, monkeypatch, fake_pool):
+        # timing blocks of 1, 2, ..., 64 trials take far less than a worker
+        # costs, so the last 3 trials run here too
         monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 8)
         with Scheduler(8, 130) as scheduler:
             res = sweep_at(3, 2, 130, 1, scheduler=scheduler)
-        assert fake_pool == [] and (scheduler.workers, scheduler.blocks) == (1, 2)
+        assert fake_pool == [] and (scheduler.workers, scheduler.blocks) == (1, 8)
         assert res == sweep_at(3, 2, 130, 1)
 
     def test_tiny_work_never_imports_the_pool(self):
@@ -257,16 +259,19 @@ class TestSweep:
         [(8, 2, 2), (64, 16, 3), (2, 16, 2), (1, 16, None), (8, 1, None)],
     )
     def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, fake_pool, threads, cpus, workers):
-        # with workers made free a pool always pays; of the 4 trials the
-        # first block takes ceil(4 / (min(threads, cpus) + 1)), and the pool
-        # gets one worker, and one block, per trial left, at most
+        # with workers made free a pool always pays once a block is timed:
+        # of the 6 trials, blocks of 1 and 2 run here, and the 3 left can
+        # keep at most 3 processes busy, each with a block at least
         monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
         monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: cpus)
-        with Scheduler(threads, 4) as scheduler:
-            res = sweep_at(3, 2, 4, 1, scheduler=scheduler)
-        assert fake_pool == ([] if workers is None else [workers])
-        assert (scheduler.workers, scheduler.blocks) == (workers or 1, 1 + (workers or 0))
-        assert res == sweep_at(3, 2, 4, 1)
+        with Scheduler(threads, 6) as scheduler:
+            res = sweep_at(3, 2, 6, 1, scheduler=scheduler)
+        assert fake_pool == ([] if workers is None else [workers - 1])
+        if workers is None:
+            assert (scheduler.workers, scheduler.blocks) == (1, 1)
+        else:
+            assert scheduler.workers == workers and 2 + workers <= scheduler.blocks <= 5
+        assert res == sweep_at(3, 2, 6, 1)
 
     def test_deterministic_and_thread_independent(self, monkeypatch):
         assert_pool_matches_serial(monkeypatch, "compiled" if asymptotics._compiled() else "python")
@@ -280,7 +285,8 @@ class TestSweep:
 
 def assert_pool_matches_serial(monkeypatch, kernel):
     """Two rows, each profiled and not, give the same results at --threads 1
-    and on a real pool of two workers, forced by making workers free."""
+    and on two processes, this one and a real pool of one worker, forced
+    by making workers free."""
     monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
     monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 2)
     q = grid_q(60, k=1.0)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -276,14 +277,16 @@ class TestSweep:
         assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["workers"] == 2
 
     def test_rows_share_one_pool(self, monkeypatch, fake_pool, tmp_path, capsys):
-        # with workers made free the first row runs here, timed, and the
-        # other seven rows go to one pool, two blocks each
+        # with workers made free the pool starts after the first row's
+        # blocks of 1 and 2 trials, and the rest of each of the eight rows
+        # goes to that one pool of one worker and this process, in one
+        # block per process at least
         monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         run_pinned_sweep(tmp_path, 2)
-        assert fake_pool == [2]
+        assert fake_pool == [1]
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-        assert (manifest["workers"], manifest["blocks"]) == (2, 1 + 7 * 2)
+        assert manifest["workers"] == 2 and manifest["blocks"] >= 2 + 8 * 2
 
     def test_words_past_int64_are_a_usage_error(self, kernel, tmp_path, capsys):
         # the word kernel would draw every one of the 10**20 letters
@@ -376,13 +379,34 @@ class TestCurve:
         request.getfixturevalue(fallback)
         run_pinned_curve(tmp_path, capsys, args, digest, distances)
 
-    def test_benchmark_command_stays_serial(self, compiled_kernel, monkeypatch, tmp_path, capsys):
-        # its 300 staircase-regime trials take milliseconds, less than a
-        # worker costs to start, so the timed first block leads to no pool
+    @pytest.mark.parametrize("seconds_per_trial, workers, blocks", [
+        # the compiled shape kernel's rate on this command on a 2-vCPU Xeon:
+        # the 300 trials take 7 ms, less than a worker costs, so the timing
+        # blocks of 1, 2, ..., 128 trials and the last 45 all run here
+        (23e-6, 1, 9),
+        # at 1 ms a trial, blocks of 1, 2, 4, 8 and 16 trials take 30 ms, and
+        # the 269 trials left go to a pool and this process, 37 blocks of
+        # sqrt(2 * 269 ms * 0.2 ms / 2) = 7.3 ms each
+        (1e-3, 2, 5 + 37),
+    ])
+    def test_benchmark_command_pools_by_its_rate(self, seconds_per_trial, workers, blocks,
+                                                 monkeypatch, fake_pool, tmp_path, capsys):
+        # the scheduler's clock reads the time the block's trials would take
+        # at the given rate, so the choice does not depend on this host
+        clock = [0.0]
+        sweep_block = asymptotics._sweep_block
+
+        def timed_block(args):
+            clock[0] += (args[4] - args[3]) * seconds_per_trial
+            return sweep_block(args)
+
+        monkeypatch.setattr(asymptotics, "_sweep_block", timed_block)
+        monkeypatch.setattr(asymptotics, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         run_pinned_curve(tmp_path, capsys, *CURVE_DIGESTS[-1])
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
-        assert (manifest["workers"], manifest["blocks"]) == (1, 2)
+        assert (manifest["workers"], manifest["blocks"]) == (workers, blocks)
+        assert fake_pool == ([] if workers == 1 else [workers - 1])
 
     def test_staircase_regime_selected_for_small_alphabet(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
