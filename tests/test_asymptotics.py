@@ -1,4 +1,5 @@
 import math
+import os
 from itertools import accumulate, chain, product
 
 import numpy as np
@@ -11,6 +12,7 @@ from heckelis.asymptotics import (
     STAIRCASE_REGIME,
     Scheduler,
     ShapeFunction,
+    _sweep_block,
     beta,
     erdos_szekeres_bound,
     grid_q,
@@ -273,22 +275,35 @@ class TestSweep:
             assert scheduler.workers == workers and 2 + workers <= scheduler.blocks <= 5
         assert res == sweep_at(3, 2, 6, 1)
 
-    def test_deterministic_and_thread_independent(self, monkeypatch):
-        assert_pool_matches_serial(monkeypatch, "compiled" if asymptotics._compiled() else "python")
+    def test_deterministic_and_thread_independent(self, monkeypatch, tmp_path):
+        assert_pool_matches_serial(monkeypatch, "compiled" if asymptotics._compiled() else "python",
+                                   tmp_path)
 
     @pytest.mark.parametrize("fallback", ["python_kernel", "missing_compiler"])
     def test_deterministic_and_thread_independent_on_the_python_kernels(self, monkeypatch, fallback,
-                                                                         request):
+                                                                         request, tmp_path):
         request.getfixturevalue(fallback)
-        assert_pool_matches_serial(monkeypatch, "python")
+        assert_pool_matches_serial(monkeypatch, "python", tmp_path)
 
 
-def assert_pool_matches_serial(monkeypatch, kernel):
+BLOCK_LOG = None  # where logged_block writes; the pool's forked workers inherit it
+
+
+def logged_block(args):
+    """``_sweep_block``, which also logs the process that ran it."""
+    with open(BLOCK_LOG, "a") as log:
+        log.write(f"{os.getpid()}\n")
+    return _sweep_block(args)
+
+
+def assert_pool_matches_serial(monkeypatch, kernel, tmp_path):
     """Two rows, each profiled and not, give the same results at --threads 1
     and on two processes, this one and a real pool of one worker, forced
-    by making workers free."""
+    by making workers free; both processes run blocks."""
     monkeypatch.setattr(asymptotics, "_WORKER_COST_S", 0.0)
     monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(globals(), "BLOCK_LOG", tmp_path / "pids")
+    monkeypatch.setattr(asymptotics, "_sweep_block", logged_block)
     q = grid_q(60, k=1.0)
     rows = [(seed, profile) for seed in (12, 13) for profile in (False, True)]
     results = {}
@@ -297,6 +312,8 @@ def assert_pool_matches_serial(monkeypatch, kernel):
             results[threads] = [sweep_at(60, q, 130, seed, profile=profile, scheduler=scheduler)
                                 for seed, profile in rows]
         assert scheduler.workers == threads
+    pids = (tmp_path / "pids").read_text().split()
+    assert len(set(pids)) == 2 and pids[0] == str(os.getpid())
     assert results[1] == results[2]
     assert {res.kernel for res in results[2]} == {kernel}
     assert [bool(res.mean_profile) for res in results[2]] == [profile for _, profile in rows]
