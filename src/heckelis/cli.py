@@ -19,7 +19,10 @@ included (``workers``, 1 when serial: ``--threads`` is only their upper bound) a
 the blocks of trials they ran in (``blocks``); rerunning
 with the same manifest parameters reproduces the data files byte for byte
 (floats are printed with six fixed decimals, and all Monte Carlo
-accumulation is integer counts merged commutatively).  A command that fails
+accumulation is integer counts merged commutatively).  ``workers`` and
+``blocks`` follow the timing the scheduler measures, so two runs of one
+command can write different manifests while their data files stay
+byte-identical.  A command that fails
 to write any of its files leaves none of them, manifest included.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0), default=_default_seed())
     p.add_argument("--threads", type=_at_least(1), default=os.cpu_count() or 1, help=THREADS_HELP)
     # recorded in the header and the manifest only; sweep writes no shapes
-    p.add_argument("--snapshots", type=int, default=0)
+    p.add_argument("--snapshots", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -9,10 +9,9 @@ is found by binary search.
 shuffles and deals all its decks in one call of ``deal_decks``, compiled
 from ``sampling.c``, the package's one C source; it keeps only the pile
 counts and sizes.  Where no C compiler builds it, the numpy dealer runs
-instead: it shuffles each deck with its trial's generator and deals a
-block at once with ``deal_piles``.  Both must agree with ``play_greedy``
-deck by deck, and the numpy dealer is the compiled one's oracle.  Only the
-numpy dealer loads numpy.
+instead, one deck at a time: it shuffles the deck with its trial's
+generator and deals it with ``play_greedy``.  It is the compiled dealer's
+oracle, and only it loads numpy.
 """
 
 from __future__ import annotations
@@ -20,13 +19,9 @@ from __future__ import annotations
 import ctypes
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .rng import seed_words, trial_generators
 from .words import Word
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -71,46 +66,6 @@ class DeckStats:
     dealer: str = field(compare=False)  # "compiled" or "numpy": which dealer ran
 
 
-# a block of decks holds about this many cards, and at least
-# _MIN_BLOCK_DECKS decks, so memory stays flat however wide a deck is and
-# a wide deck still shares each numpy call with others
-_BLOCK_CARDS = 2**15
-_MIN_BLOCK_DECKS = 4
-
-
-def deal_piles(decks: np.ndarray, ranks: int) -> np.ndarray:
-    """Deal each row of ``decks`` (cards in 1..``ranks``) with ties-allowed
-    greedy patience; return, in the same layout, the 0-based position of
-    the pile each card went on.  A deck's piles are numbered left to right
-    as they appear, so its pile count is its largest position plus one.
-
-    Row r's tops are stored as ``r * (ranks + 2) + top`` in one flat array,
-    followed by a sentinel ``r * (ranks + 2) + ranks + 1``.  The tops
-    weakly increase within a row and the offsets keep the rows apart, so
-    one ``searchsorted`` finds, in every row at once, the leftmost pile the
-    next card may cover, or the sentinel when the card starts a new pile.
-    """
-    import numpy as np
-
-    rows, cards = decks.shape
-    # int32 wherever the flat values fit, to halve the block's memory
-    dtype = np.int32 if rows * (ranks + 2) <= np.iinfo(np.int32).max else np.int64
-    offsets = np.arange(rows, dtype=dtype) * (ranks + 2)
-    tops = np.repeat(offsets + (ranks + 1), ranks + 1)
-    # the cards in dealing order, offset by row; each is then overwritten by
-    # the index in ``tops`` of the pile it went on
-    slots = np.empty((cards, rows), dtype=dtype)
-    np.add(decks.T, offsets, out=slots)
-    search, put = tops.searchsorted, tops.put
-    for slot in slots:
-        # side="left": the first top >= the card, so a card may cover its equal
-        piles = search(slot)
-        put(piles, slot)
-        slot[...] = piles
-    slots -= np.arange(rows, dtype=dtype) * (ranks + 1)  # where row r's piles start
-    return slots.T
-
-
 def _compiled_dealer():
     """The compiled ``deal_decks``, or None where it cannot be built."""
     from .native import load
@@ -137,24 +92,21 @@ def _deal_compiled(deal, ranks, copies_per_rank, trials, seed) -> tuple[list, li
 
 
 def _deal_numpy(ranks, copies_per_rank, trials, seed) -> tuple[list, list]:
-    """The numpy dealer: the same counts as ``_deal_compiled``."""
+    """The numpy dealer: the same counts as ``_deal_compiled``, one deck at
+    a time by the rule."""
     import numpy as np
 
-    histogram = np.zeros(ranks + 1, dtype=np.int64)
-    size_sums = np.zeros(ranks, dtype=np.int64)
-    # the narrowest type that holds the ranks: it is shuffled and copied per deck
+    # built, or refused as too large, before the first trial
     deck = np.repeat(np.arange(1, ranks + 1, dtype=np.min_scalar_type(ranks)), copies_per_rank)
-    block = max(_MIN_BLOCK_DECKS, _BLOCK_CARDS // deck.size)
-    streams = trial_generators(seed, 0, trials)
-    for start in range(0, trials, block):
-        decks = np.tile(deck, (min(block, trials - start), 1))
-        for row, rng in zip(decks, streams):
-            rng.shuffle(row)  # the same order as deck[rng.permutation(deck.size)]
-        piles = deal_piles(decks, ranks)
-        histogram += np.bincount(piles.max(axis=1) + 1, minlength=ranks + 1)
-        # the order of the cards does not matter to the sums, so read them as stored
-        size_sums += np.bincount(piles.ravel(order="K"), minlength=ranks)
-    return histogram.tolist(), size_sums.tolist()
+    histogram, size_sums = [0] * (ranks + 1), [0] * ranks
+    for rng in trial_generators(seed, 0, trials):
+        shuffled = deck.copy()
+        rng.shuffle(shuffled)
+        piles = play_greedy(Word(shuffled.tolist(), ranks)).piles
+        histogram[len(piles)] += 1
+        for i, pile in enumerate(piles):
+            size_sums[i] += len(pile)
+    return histogram, size_sums
 
 
 def deck_simulation(ranks: int, copies_per_rank: int, trials: int, seed: int) -> DeckStats:

@@ -5,8 +5,8 @@ full fillings for the tableau counts, every cell of a mixed tableau for a
 switch, every inner label for a viable switch sequence, one deck at a
 time for the deck simulation, one ``SeedSequence`` per trial for the block
 streams.  None of it touches the package's dynamic programs, product
-formulas, insertion code, label index, block dealer or key hash, so these
-functions can sit on the other side of every two-route check.
+formulas, insertion code, label index, compiled kernels or key hash, so
+these functions can sit on the other side of every two-route check.
 """
 
 import math

@@ -668,6 +668,14 @@ class TestUsageErrors:
         assert f"{option}: must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_snapshots_rejected_at_parse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--n", "10", "--alpha-grid", "1.0", "--trials", "2",
+                     "--snapshots", "-5", "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        assert "--snapshots: must be >= 0, got -5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestProcessStartup:
     # no package code calls BLAS or starts a pool on import, so a process

@@ -1,19 +1,13 @@
-from itertools import permutations, product
+from itertools import product
 from unittest import mock
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from heckelis import patience, rng
 from heckelis.insertion import hecke
-from heckelis.patience import (
-    PileState,
-    deal_piles,
-    deck_simulation,
-    play_greedy,
-)
+from heckelis.patience import PileState, deck_simulation, play_greedy
 from heckelis.rng import trial_generators
 from heckelis.words import Word, lis
 
@@ -88,55 +82,12 @@ class TestAgainstInsertion:
                     assert len(play_greedy(w).piles) == lis(w)
 
 
-def dealt_piles(deck, positions):
-    """The piles, cards bottom to top, of a deck whose card i went on pile
-    ``positions[i]``."""
-    piles = [[] for _ in range(max(positions) + 1)]
-    for card, position in zip(deck, positions):
-        piles[position].append(card)
-    return tuple(tuple(pile) for pile in piles)
-
-
-def greedy_piles(deck, ranks):
-    return play_greedy(Word(tuple(deck), ranks)).piles
-
-
-@st.composite
-def deck_blocks(draw, max_rows=6, max_cards=40, max_ranks=8):
-    ranks = draw(st.integers(1, max_ranks))
-    cards = draw(st.integers(1, max_cards))
-    rows = draw(st.integers(1, max_rows))
-    letters = st.lists(st.integers(1, ranks), min_size=cards, max_size=cards)
-    return ranks, draw(st.lists(letters, min_size=rows, max_size=rows))
-
-
-class TestDealPiles:
-    """The block dealer against ``play_greedy``, deck by deck and card by card."""
-
-    def test_every_ordering_of_small_multiset_decks(self):
-        for ranks in range(1, 4):
-            for copies in range(1, 4):
-                deck = [rank for rank in range(1, ranks + 1) for _ in range(copies)]
-                decks = sorted(set(permutations(deck)))
-                positions = deal_piles(np.array(decks), ranks)
-                assert positions.shape == (len(decks), ranks * copies)
-                for row, order in zip(positions.tolist(), decks):
-                    assert dealt_piles(order, row) == greedy_piles(order, ranks)
-
-    @given(deck_blocks())
-    def test_random_blocks(self, block):
-        ranks, decks = block
-        positions = deal_piles(np.array(decks), ranks).tolist()
-        assert [dealt_piles(deck, row) for deck, row in zip(decks, positions)] == [
-            greedy_piles(deck, ranks) for deck in decks]
-
-
 ORACLE_SIZES = [
     (1, 5, 50, 3),
     (1000, 1, 40, 3),
     (400, 3, 30, 3),
     (5, 3, 300, 11),
-    (9000, 1, 6, 3),  # wider than _BLOCK_CARDS / 4: blocks of 4 decks
+    (9000, 1, 6, 3),  # a wide deck, 9000 distinct cards
 ]
 
 
@@ -161,14 +112,6 @@ class TestDeckSimulation:
     def test_equals_scalar_oracle(self, ranks, copies, trials, seed, numpy_dealer):
         assert deck_simulation(ranks, copies, trials, seed) == scalar_deck_simulation(
             ranks, copies, trials, seed)
-
-    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
-                             ids=["b-1", "b", "b+1", "2b+1"])
-    def test_equals_scalar_oracle_around_the_block_size(self, blocks, extra, numpy_dealer):
-        ranks, copies = 13, 4
-        trials = blocks * (patience._BLOCK_CARDS // (ranks * copies)) + extra
-        assert deck_simulation(ranks, copies, trials, 5) == scalar_deck_simulation(
-            ranks, copies, trials, 5)
 
     # a deck past int64 cards fails before any allocation; 2**62 cards pass
     # that check and are refused by the dealer's own size check
