@@ -9,9 +9,10 @@ execution order or worker count.
 
 No trial builds a ``Word``.  Each runs in one call of a kernel compiled
 from ``sampling.c``, the package's one C source (see ``native``), which
-derives the trial's Philox key from the seed's words and the trial index,
-runs its stream itself and draws the letters that ``random_word`` gives
-for the trial's stream.  The word kernel reads a word's LIS, LDS and
+derives the trial's Philox key from the seed's words (``rng.seed_words``)
+and the trial index with numpy's ``SeedSequence`` hash, runs its stream
+itself and draws the letters that ``random_word`` gives for the trial's
+stream.  The word kernel reads a word's LIS, LDS and
 Demazure product off its letters; the shape kernel Hecke-inserts them and
 stops drawing once the shape is staircase(q).
 Where no C compiler builds them, the Python kernels run, and they are the

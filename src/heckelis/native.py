@@ -3,9 +3,11 @@
 ``load(name)`` returns ``<name>.c``, the source beside this module, as a
 ``ctypes`` library, with the signatures of its functions declared once, as
 ``_SIGNATURES`` gives them.  There is one such source, ``sampling.c``:
-numpy's ``SeedSequence`` hash, Philox and numpy's draw rules, with the deck
-dealer of ``patience``, the word and shape kernels of ``asymptotics`` and
-the word drawer of ``words`` (``verify``'s random words) built on them.
+the package's one copy of numpy's ``SeedSequence`` hash (``seed_pool``,
+which ``rng.seed_words`` calls, and ``trial_key``), Philox and numpy's draw
+rules, with the deck dealer of ``patience``, the word and shape kernels of
+``asymptotics`` and the word drawer of ``words`` (``verify``'s random
+words) built on them.
 The first process that asks for it compiles it with the C compiler Python
 was built with (``sysconfig``'s ``CC``) into the per-user cache directory,
 ``$XDG_CACHE_HOME/heckelis`` or ``~/.cache/heckelis``.  The library is
@@ -41,6 +43,7 @@ _i64, _u64, _pointer = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
 _SIGNATURES = {
     "sampling": {
         "trial_key": (None, (_pointer, _u64, _pointer)),
+        "seed_pool": (None, (_pointer, _i64, _pointer)),
         "deal_decks": (ctypes.c_int, (_pointer, _u64, _u64, _i64, _i64, _pointer, _pointer)),
         "draw_word": (None, (_pointer, _u64, _i64, _i64, _pointer)),
         "word_statistics": (ctypes.c_int, (_pointer, _u64, _i64, _i64, _i64, _i64, _pointer)),

@@ -1,9 +1,10 @@
 /* The compiled sampling kernels, with the one copy of Philox they share.
  *
  * Trial t of a batch keyed by a seed draws from
- * ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))`` (``rng``).  A
- * kernel takes the seed as ``seed_words``, the five 32-bit words of
- * ``rng._seed_pool``: numpy's ``SeedSequence`` pool after the seed's words,
+ * ``Generator(Philox(SeedSequence(seed, spawn_key=(t,))))`` (``rng``), and
+ * this file holds the package's one copy of numpy's ``SeedSequence`` hash.
+ * A kernel takes the seed as ``seed_words``, the five 32-bit words that
+ * ``seed_pool`` writes: the ``SeedSequence`` pool after the seed's words,
  * then its hash constant.  From them and t it derives the trial's Philox
  * key with the rest of the ``SeedSequence`` hash (``trial_key``), and runs
  * the trial from a fresh state (counter 0, empty buffer), drawing exactly
@@ -41,6 +42,7 @@ typedef struct {
 /* numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
  * four words, hashed in with a running constant that does not depend on
  * the entropy, then read out with a second constant */
+#define HASH_INIT_A 0x43B0D7E5U
 #define HASH_MULT_A 0x931E8875U
 #define HASH_INIT_B 0x8B51F9DDU
 #define HASH_MULT_B 0x58F38DEDU
@@ -478,4 +480,29 @@ int64_t insert_word(tableau *t, const uint32_t *seed_words, uint64_t trial, int6
         added += step;
     }
     return t->rows;
+}
+
+/* --- the seed: numpy's SeedSequence pool ---------------------------------
+ *
+ * The pool after the seed's ``count`` 32-bit words, low word first, and
+ * before the spawn key's: the first four words, padded with 0, are hashed
+ * into the pool, the pool is cross-mixed, and any further word is absorbed.
+ * Writes the pool to out[0..3] and the hash constant to out[4], the
+ * ``seed_words`` that every kernel takes. */
+void seed_pool(const uint32_t *entropy, int64_t count, uint32_t *out) {
+    uint32_t hash_const = HASH_INIT_A;
+    for (int i = 0; i < 4; i++) {
+        out[i] = hashmix(i < count ? entropy[i] : 0, &hash_const, HASH_MULT_A);
+    }
+    for (int src = 0; src < 4; src++) {
+        for (int dst = 0; dst < 4; dst++) {
+            if (src != dst) {
+                out[dst] = mix(out[dst], hashmix(out[src], &hash_const, HASH_MULT_A));
+            }
+        }
+    }
+    for (int64_t i = 4; i < count; i++) {
+        absorb(out, &hash_const, entropy[i]);
+    }
+    out[4] = hash_const;
 }

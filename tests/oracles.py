@@ -3,10 +3,11 @@
 Everything here enumerates rather than computes: subsequences for LIS/LDS,
 full fillings for the tableau counts, every cell of a mixed tableau for a
 switch, every inner label for a viable switch sequence, one deck at a
-time for the deck simulation, one ``SeedSequence`` per trial for the block
-streams.  None of it touches the package's dynamic programs, product
-formulas, insertion code, label index, compiled kernels or key hash, so
-these functions can sit on the other side of every two-route check.
+time for the deck simulation, numpy's own ``SeedSequence`` per trial for
+the trial streams.  None of it touches the package's dynamic programs,
+product formulas, insertion code, label index or compiled kernels (with
+their ``SeedSequence`` hash), so these functions can sit on the other side
+of every two-route check.
 """
 
 import math
@@ -223,7 +224,8 @@ def scan_viable_sequence(p, q, seed):
 def trial_generator(base_seed, trial):
     """Trial ``trial``'s generator straight from the contract, one
     ``SeedSequence``, ``Philox`` and ``Generator`` per trial: the oracle of
-    ``rng.trial_generators``."""
+    the trial streams, those of ``rng.trial_generators`` and those the
+    compiled kernels key with ``sampling.c``'s hash."""
     return generator(trial_stream(base_seed, trial))
 
 

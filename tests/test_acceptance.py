@@ -27,7 +27,6 @@ from heckelis.cli import main as cli_main
 from heckelis.insertion import hecke
 from heckelis.kjdt import k_rectify, random_viable_sequence
 from heckelis.patience import deck_simulation
-from heckelis.rng import trial_generators
 from heckelis.tableaux import (
     YoungDiagram,
     count_increasing,
@@ -52,6 +51,7 @@ from oracles import (
     all_partitions,
     brute_count_semistandard,
     brute_count_standard,
+    trial_generator,
 )
 
 
@@ -139,17 +139,16 @@ def test_criterion_05_rectification():
     # tableau under every viable switch sequence
     viable_ok = True
     checked = 0
-    # the 50 sequences of word `checked` draw from trials 50 * checked to
-    # 50 * checked + 49 of seed 8080
-    streams = trial_generators(8080, 0, 50 * sum(q**n for q in range(1, 5) for n in range(6)))
     for q in range(1, 5):
         for n in range(0, 6):
             for letters in product(range(1, q + 1), repeat=n):
                 w = Word(letters, q)
                 reference = k_rectify(w)
                 p = staircase(max(n - 1, 0)).size
+                # the 50 sequences of word `checked` draw from trial `checked` of seed 8080
+                rng = trial_generator(8080, checked)
                 for _ in range(50):
-                    seq = random_viable_sequence(p, q, next(streams))
+                    seq = random_viable_sequence(p, q, rng)
                     if k_rectify(w, sequence=seq) != reference:
                         viable_ok = False
                 checked += 1

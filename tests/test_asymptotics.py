@@ -26,7 +26,7 @@ from heckelis.asymptotics import (
     trial_words,
     word_statistics,
 )
-from heckelis.insertion import heckeshape
+from heckelis.insertion import heckeshape, shape_parts
 from heckelis.measures import exact_plancherel_hecke
 from heckelis.rng import generator, trial_generators, trial_stream
 from heckelis.tableaux import EMPTY_DIAGRAM, YoungDiagram, conjugate, staircase
@@ -40,6 +40,7 @@ from heckelis.words import (
     lis,
     longest_element,
     random_word,
+    random_words,
 )
 
 from conftest import child_after_import, words
@@ -380,7 +381,7 @@ class TestLetterPath:
         rng = generator(trial_stream(7, 3))
         split = [draw_letters(rng, size, q) for size in (63, 1, 127, n - 191)]
         assert list(chain.from_iterable(split)) == whole
-        # the kernel's own chunks, from the block path's re-keyed generator
+        # the kernel's own chunks, from the trial's generator of trial_generators
         (rng,) = trial_generators(7, 3, 4)
         sizes = [first * 2**i for i in range(20)]
         ends = [min(end, n) for end in accumulate(sizes)]
@@ -467,11 +468,12 @@ class TestCompiledKernels:
         for q in range(1, 5):
             for n in range(0, 8):
                 trials, seed = 4 * q**n + 100, 100 * q + n
-                words = list(trial_words(n, q, seed, trials))
-                assert len(set(map(tuple, words))) >= 0.97 * q**n, (n, q)
+                # the trials' letters, by the compiled draw_word (TestCompiledWords)
+                words = [w.letters for w in random_words(seed, [(n, q)] * trials)]
+                assert len(set(words)) >= 0.97 * q**n, (n, q)
                 assert compiled_paths(library, n, q, seed, trials) == (
                     list(word_statistics(words, n, q)),
-                    list(asymptotics._python_shapes(n, q, seed, trials, 0))), (n, q)
+                    [shape_parts(w, q) for w in words]), (n, q)
 
     @pytest.mark.parametrize(
         "n, q, trials",
@@ -495,7 +497,7 @@ class TestCompiledKernels:
     @pytest.mark.parametrize(
         "start, stop",
         [(1000, 1100), (5, 1100), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64)],
-        ids=["mid-range", "two-key-chunks", "high-word", "last-trials"],
+        ids=["mid-range", "two-word-chunks", "high-word", "last-trials"],
     )
     def test_blocks(self, library, start, stop):
         assert compiled_paths(library, 30, 4, 9, stop, start) == python_paths(30, 4, 9, stop, start)

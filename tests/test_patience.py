@@ -5,10 +5,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from heckelis import patience, rng
+from heckelis import patience
 from heckelis.insertion import hecke
 from heckelis.patience import PileState, deck_simulation, play_greedy
-from heckelis.rng import trial_generators
+from heckelis.rng import generator
 from heckelis.words import Word, lis
 
 from conftest import words
@@ -134,7 +134,8 @@ class TestDeckSimulation:
         ranks, copies, trials = 13, 4, 100_000
         deck = np.repeat(np.arange(1, ranks + 1), copies)
         counts = np.zeros(ranks + 1, dtype=int)
-        for rng in trial_generators(99, 0, trials):
+        rng = generator(99)
+        for _ in range(trials):
             counts[deck[rng.permutation(deck.size)][0]] += 1
         p = 1 / ranks
         sigma = (trials * p * (1 - p)) ** 0.5
@@ -166,14 +167,6 @@ class TestCompiledDealer:
                                  monkeypatch):
         compiled, numpy = dealt_by_both(ranks, copies, trials, seed, monkeypatch)
         assert (compiled.dealer, numpy.dealer) == ("compiled", "numpy")
-        assert compiled == numpy
-
-    @pytest.mark.parametrize("trials", [1023, 1024, 1025, 2049])
-    def test_equals_numpy_dealer_around_the_key_chunk(self, trials, compiled_dealer,
-                                                      monkeypatch):
-        assert rng._KEY_CHUNK == 1024
-        compiled, numpy = dealt_by_both(13, 4, trials, 9, monkeypatch)
-        assert compiled.dealer == "compiled"
         assert compiled == numpy
 
     # 8 TB of pile sizes, then more than a ctypes array may hold
